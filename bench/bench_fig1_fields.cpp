@@ -45,7 +45,7 @@ int main() {
     config.atm.mesh_n = 8;
     config.atm.nlev = 8;
     config.ocn.grid = grid::TripolarConfig{64, 48, 8};
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     // A tropical cyclone provides the active weather of the 25 July 2023
     // snapshot.
     atm::VortexSpec spec;

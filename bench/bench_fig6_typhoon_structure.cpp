@@ -32,7 +32,7 @@ StructureMetrics run_case(int mesh_n, int ocn_nx, int ocn_ny) {
     config.atm.nlev = 8;
     config.atm.drag_per_second = 5e-7;
     config.ocn.grid = grid::TripolarConfig{ocn_nx, ocn_ny, 8};
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
 
     atm::VortexSpec spec;
     spec.lon_deg = 133.0;

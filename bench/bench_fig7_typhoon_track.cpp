@@ -46,7 +46,7 @@ int main() {
     config.atm.nlev = 8;
     config.atm.drag_per_second = 5e-7;
     config.ocn.grid = grid::TripolarConfig{96, 72, 8};
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
 
     atm::VortexSpec spec;
     spec.lon_deg = 133.0;

@@ -83,7 +83,7 @@ RunResult run_once(bool overlap, bool faulty, int windows) {
   std::atomic<double> wall{0.0};
   std::atomic<std::uint64_t> hash{0};
   const auto body = [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, bench_config(overlap));
+    cpl::CoupledModel model(comm, {bench_config(overlap)});
     comm.barrier();
     const double t0 = now_seconds();
     model.run_windows(windows);

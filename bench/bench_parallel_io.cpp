@@ -198,7 +198,7 @@ AsyncResult run_async_section() {
 
   static std::uint64_t sync_end_hash;
   par::run(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(kWindows);
     comm.barrier();
     const auto t0 = Clock::now();
@@ -215,7 +215,7 @@ AsyncResult run_async_section() {
 
   static std::uint64_t async_end_hash;
   par::run(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(kWindows);
     comm.barrier();
     const auto t0 = Clock::now();
@@ -237,7 +237,7 @@ AsyncResult run_async_section() {
 
   static std::uint64_t restored_end_hash;
   par::run(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.restore(async_dir);
     model.run_windows(kWindows);
     const std::uint64_t end = model.state_hash();
@@ -273,18 +273,18 @@ GsRestartResult run_gs_restart_section() {
   cpl::CoupledConfig config = bench_config();
   config.checkpoint.slow_disk_seconds_per_mb = 0.0;
   par::run(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(2);
     model.checkpoint(dir64);
     const auto original = model.local_checkpoint_sections();
 
     cpl::CoupledConfig gs_config = config;
     gs_config.checkpoint.codec.codec = io::Codec::kGroupScaled;
-    cpl::CoupledModel twin(comm, gs_config);
+    cpl::CoupledModel twin(comm, {gs_config});
     twin.run_windows(2);
     twin.checkpoint(dirgs);
 
-    cpl::CoupledModel fresh(comm, gs_config);
+    cpl::CoupledModel fresh(comm, {gs_config});
     fresh.restore(dirgs);
     const auto restored = fresh.local_checkpoint_sections();
     bool ok = restored.size() == original.size();

@@ -96,7 +96,7 @@ RunResult run_once(bool rebalance, Skew skew) {
   std::atomic<std::uint64_t> hash{0};
   std::atomic<long long> migrations{0};
   par::run(kRanks, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, bench_config(rebalance, skew));
+    cpl::CoupledModel model(comm, {bench_config(rebalance, skew)});
     comm.barrier();
     const double t0 = now_seconds();
     model.run_windows(kWindows);

@@ -398,7 +398,7 @@ int main(int argc, char** argv) {
   std::atomic<int> exit_code{0};
   par::run(nranks, [&](par::Comm& base) {
     par::Comm comm = topo_comm(base);
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     if (use_ai) {
       // Each rank trains the same tiny suite deterministically (no RNG state
       // is shared across rank threads), then routes it through the engine on

@@ -26,7 +26,6 @@ class ChannelNormalizer {
 
   std::size_t num_channels() const { return means_.size(); }
   float mean(std::size_t c) const { return means_[c]; }
-  float stddev(std::size_t c) const { return stds_[c]; }
 
   // Raw access for (de)serialization.
   bool is_flat() const { return flat_; }

@@ -21,7 +21,6 @@ struct AtmConfig {
   double mean_depth_m = 1000.0;  ///< equivalent depth of the SW layer
   double drag_per_second = 2.0e-6;   ///< Rayleigh drag on momentum
   double albedo = 0.3;
-  bool use_ai_physics = false;
   bool mixed_precision = false;  ///< §5.2.3 group-scaled dycore state
   /// §5.1.1: offload the conflict-free dycore loops through the SWGOMP-style
   /// directive layer (results are bitwise identical to the serial path).

@@ -339,18 +339,6 @@ double Dycore::total_mass() const {
   return comm_.allreduce_value(local, par::ReduceOp::kSum);
 }
 
-double Dycore::total_tracer(int which) const {
-  const std::vector<double>& field = which == 0 ? state_.temp : state_.q;
-  double local = 0.0;
-  for (std::size_t c = 0; c < local_.num_owned(); ++c) {
-    double column = 0.0;
-    for (std::size_t k = 0; k < state_.nlev; ++k)
-      column += field[state_.tq(c, k)];
-    local += column * local_.area_m2(c);
-  }
-  return comm_.allreduce_value(local, par::ReduceOp::kSum);
-}
-
 double Dycore::max_wind() const {
   double local = 0.0;
   for (std::size_t c = 0; c < local_.num_owned(); ++c) {

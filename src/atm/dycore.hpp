@@ -33,11 +33,9 @@ class LocalMesh {
   std::size_t num_owned() const { return num_owned_; }
   std::size_t num_ghosts() const { return ghost_ids_.size(); }
   std::size_t num_slots() const { return num_owned_ + ghost_ids_.size(); }
-  std::int64_t ncells_global() const { return ncells_global_; }
   std::int64_t global_id(std::size_t owned) const {
     return owned_begin_ + static_cast<std::int64_t>(owned);
   }
-  std::int64_t owned_begin() const { return owned_begin_; }
 
   struct Neighbor {
     std::size_t slot = 0;          ///< owned index or owned+ghost offset
@@ -113,7 +111,6 @@ class Dycore {
 
   /// Global invariants (collective).
   double total_mass() const;              ///< Σ h·A
-  double total_tracer(int which) const;   ///< Σ tracer·h·A (0=temp, 1=q)
   double max_wind() const;                ///< max |V| across ranks
   double max_h_deviation() const;         ///< max |h − H0|
 

@@ -18,13 +18,6 @@ inline double mean(std::span<const double> x) {
   return s / static_cast<double>(x.size());
 }
 
-inline double variance(std::span<const double> x) {
-  const double m = mean(x);
-  double s = 0.0;
-  for (double v : x) s += (v - m) * (v - m);
-  return s / static_cast<double>(x.size());
-}
-
 /// Relative L2 norm of (test − ref) against ref — the GRIST mixed-precision
 /// acceptance metric (threshold 5 %).
 inline double relative_l2(std::span<const double> test,

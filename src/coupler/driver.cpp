@@ -56,13 +56,6 @@ void validate_coupled_config(const CoupledConfig& config, int world_size) {
   }
 }
 
-CoupledModel::CoupledModel(const par::Comm& global, const CoupledConfig& config)
-    : CoupledModel(global, [&config] {
-        ScenarioSpec s;
-        s.config = config;
-        return s;
-      }()) {}
-
 CoupledModel::CoupledModel(const par::Comm& global, ScenarioSpec spec)
     : global_(global),
       spec_(std::move(spec)),
@@ -306,22 +299,8 @@ void CoupledModel::run_windows(int atm_windows) {
   }
 }
 
-TimerRegistry& CoupledModel::timers() {
-  refresh_timers();
-  return timers_;
-}
-
-void CoupledModel::refresh_timers() {
-  // Rebuild the compatibility registry from this rank's span aggregates.
-  // Only the driver's "run*" phase namespace feeds the paper-facing report;
-  // kernel/launch spans stay in obs's own exporters.
-  timers_.reset();
-  obs::fill_registry(obs::local(), obs_first_event_, timers_, "run");
-}
-
 TimingSummary CoupledModel::timing_summary() {
-  refresh_timers();
-  return summarize_timing(global_, timers_,
+  return summarize_timing(obs::merge(global_, obs_first_event_),
                           static_cast<double>(clock_.steps_taken()) *
                               window_seconds_);
 }

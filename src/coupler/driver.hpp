@@ -29,7 +29,6 @@
 #include "atm/vortex.hpp"
 #include "balance/balance.hpp"
 #include "base/rng.hpp"
-#include "base/timer.hpp"
 #include "coupler/clock.hpp"
 #include "coupler/fluxes.hpp"
 #include "coupler/scenario.hpp"
@@ -87,7 +86,7 @@ void validate_coupled_config(const CoupledConfig& config, int world_size);
 
 /// Everything that defines one ensemble member: the configuration, an initial
 /// perturbation, and (optionally) the shared immutable context it serves from.
-/// `ScenarioSpec{config}` is exactly the legacy constructor.
+/// `ScenarioSpec{config}` is an unperturbed control with a private context.
 struct ScenarioSpec {
   CoupledConfig config;
   /// 0 = unperturbed control member. Nonzero seeds key a deterministic,
@@ -95,13 +94,13 @@ struct ScenarioSpec {
   /// construction (Dycore::perturb_temperature).
   std::uint64_t perturbation_seed = 0;
   double perturbation_kelvin = 0.01;
-  std::string name;  ///< label for diagnostics output (optional)
+  std::string name{};  ///< label for diagnostics output (optional)
   /// Shared immutable inputs (mesh, ocean grid, regrid matrices, frozen AI
-  /// weights). Null: the model builds a private context (legacy behavior).
-  std::shared_ptr<const SharedInputs> shared;
+  /// weights). Null: the model builds a private context.
+  std::shared_ptr<const SharedInputs> shared{};
   /// Fleet-internal: adopt an already built coupling-plan set instead of
   /// rebuilding (must match this member's communicator and decomposition).
-  std::shared_ptr<const CouplingPlans> adopt_plans;
+  std::shared_ptr<const CouplingPlans> adopt_plans{};
 };
 
 /// One consistent snapshot of the coupled model's scalar diagnostics
@@ -124,9 +123,6 @@ class CoupledModel {
   /// validates the config, builds or adopts the shared context, constructs
   /// the components, and applies the scenario's perturbation.
   CoupledModel(const par::Comm& global, ScenarioSpec spec);
-  /// Legacy construction — a thin shim over ScenarioSpec{config} that builds
-  /// a private context.
-  CoupledModel(const par::Comm& global, const CoupledConfig& config);
 
   /// Advance `atm_windows` master coupling windows (collective).
   void run_windows(int atm_windows);
@@ -213,12 +209,10 @@ class CoupledModel {
   Rng& rng() { return rng_; }
 
   // --- collective diagnostics (call on every global rank) --------------------
-  /// getTiming-style report over everything run so far (§6.2; collective).
-  /// Phase totals come from obs spans (AP3_SPAN call sites in the driver);
-  /// the registry below is the compatibility shim they are reduced through.
+  /// getTiming-style report over everything run so far (§6.2; collective):
+  /// obs::merge of this rank's spans since construction, filtered to the
+  /// driver's "run" phases (AP3_SPAN call sites in run_windows).
   TimingSummary timing_summary();
-  /// The span-fed shim registry, refreshed on access (not collective).
-  TimerRegistry& timers();
 
   /// One consistent snapshot of the scalar diagnostics (collective).
   CoupledDiagnostics diagnostics();
@@ -237,7 +231,6 @@ class CoupledModel {
   double mean_precip_impl();
   double ice_fraction_impl();
   double max_current_impl();
-  void refresh_timers();  ///< rebuild the shim registry from span aggregates
   void atm_ice_phase();  ///< one master window: atm.run, ice.run, exchanges
   void ocn_phase();      ///< at ocean boundaries: fluxes, ocn.run, exports
 
@@ -351,7 +344,6 @@ class CoupledModel {
   /// In-flight async checkpoint writers, oldest first (≤ 2: back-pressure).
   std::deque<std::unique_ptr<io::CheckpointWriter>> pending_checkpoints_;
   Rng rng_{0xA93E5Cull};  ///< driver stream; part of the checkpoint
-  TimerRegistry timers_;  ///< compatibility shim, fed from obs spans
   std::size_t obs_first_event_ = 0;  ///< span-buffer mark at end of init
   double window_seconds_ = 0.0;
   BulkFluxConfig flux_config_;

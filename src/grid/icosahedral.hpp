@@ -61,9 +61,6 @@ class IcosahedralGrid {
   /// Spherical triangle area (steradians; sums to 4π over the mesh).
   double cell_area(std::size_t c) const { return areas_[c]; }
 
-  const std::array<std::uint32_t, 3>& cell_vertex_ids(std::size_t c) const {
-    return cell_vertices_[c];
-  }
   const std::array<std::uint32_t, 2>& edge_vertex_ids(std::size_t e) const {
     return edge_vertices_[e];
   }

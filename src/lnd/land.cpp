@@ -15,12 +15,6 @@ using constants::kStefanBoltzmann;
 LandModel::LandModel(std::size_t ncells, LandConfig config)
     : config_(config), tskin_(ncells, 288.0), water_(ncells, 0.05) {}
 
-double LandModel::total_water() const {
-  double total = 0.0;
-  for (double w : water_) total += w;
-  return total;
-}
-
 LandResponse LandModel::step_cell(std::size_t cell, double dt,
                                   const LandForcing& forcing) {
   AP3_REQUIRE(cell < tskin_.size());

@@ -46,7 +46,6 @@ class LandModel {
   std::size_t ncells() const { return tskin_.size(); }
   double tskin(std::size_t cell) const { return tskin_[cell]; }
   double soil_water(std::size_t cell) const { return water_[cell]; }
-  double total_water() const;
 
   /// Advance cell `cell` by `dt` seconds under `forcing`.
   LandResponse step_cell(std::size_t cell, double dt, const LandForcing& forcing);

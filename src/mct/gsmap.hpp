@@ -37,7 +37,6 @@ class GlobalSegMap {
       const std::vector<std::vector<std::int64_t>>& ids_by_rank);
 
   std::int64_t gsize() const { return gsize_; }
-  int num_pes() const { return num_pes_; }
   const std::vector<Segment>& segments() const { return segments_; }
 
   /// Owning rank of a global id; throws if unmapped.

@@ -1,9 +1,9 @@
 // Exporters for the observability layer (obs/obs.hpp).
 //
 // Two renderings of the recorded data:
-//   - tree_report(): indented text, a superset of TimerRegistry::report() —
-//     per-rank span trees (nesting from the `component:phase:subphase` names)
-//     followed by the counter/gauge families,
+//   - tree_report(): indented text — per-rank span trees (nesting from the
+//     `component:phase:subphase` names) followed by the counter/gauge
+//     families,
 //   - chrome_trace_json(): a chrome://tracing / Perfetto "traceEvents" JSON
 //     document with one timeline row (tid) per simulated rank, "X" complete
 //     events for spans, thread_name metadata, and merged counter totals under

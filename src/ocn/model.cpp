@@ -923,13 +923,4 @@ std::vector<double> OcnModel::surface_rossby_number() const {
   return out;
 }
 
-double OcnModel::local_active_fraction() const {
-  long long active = 0;
-  for (int value : kmt_local_) active += value;
-  const long long total = static_cast<long long>(kmt_local_.size()) *
-                          config_.grid.nz;
-  return total == 0 ? 0.0 : static_cast<double>(active) /
-                                static_cast<double>(total);
-}
-
 }  // namespace ap3::ocn

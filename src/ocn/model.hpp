@@ -114,9 +114,6 @@ class OcnModel : public balance::Rebalanceable {
   std::vector<double>& temp_level(int k) {
     return temp_[static_cast<std::size_t>(k)];
   }
-  std::vector<double>& salt_level(int k) {
-    return salt_[static_cast<std::size_t>(k)];
-  }
 
   // --- diagnostics (collective) ----------------------------------------------
   double total_volume() const;     ///< Σ (H+η)·A over ocean columns
@@ -146,8 +143,6 @@ class OcnModel : public balance::Rebalanceable {
   /// Iterations executed by column-wise kernels since construction —
   /// demonstrates the §5.2.2 exclusion (~30 % fewer with it on).
   long long column_iterations() const { return column_iterations_; }
-  /// Active-point statistics of this rank's block.
-  double local_active_fraction() const;
 
   /// Perf-model inputs.
   static double barotropic_flops_per_point() { return 45.0; }

@@ -453,12 +453,6 @@ void add_inplace(Tensor& a, const Tensor& b) {
                    [=](std::size_t i) { ad[i] += bd[i]; });
 }
 
-void scale_inplace(Tensor& a, float s) {
-  float* ad = a.data();
-  pp::parallel_for(pol(a.size(), "tensor:scale"),
-                   [=](std::size_t i) { ad[i] *= s; });
-}
-
 void bias_add_rows(Tensor& out, const Tensor& bias) {
   AP3_REQUIRE(out.rank() == 2 && bias.rank() == 1 &&
               out.dim(1) == bias.dim(0));

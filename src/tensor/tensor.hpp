@@ -84,7 +84,6 @@ Tensor conv1d_backward(const Tensor& x, const Tensor& kernel,
                        Tensor& grad_bias);
 
 void add_inplace(Tensor& a, const Tensor& b);
-void scale_inplace(Tensor& a, float s);
 /// out (M,N) += bias (N), broadcast over rows (the Dense bias add).
 void bias_add_rows(Tensor& out, const Tensor& bias);
 Tensor relu(const Tensor& x);

@@ -315,7 +315,7 @@ std::uint64_t coupled_hash(bool overlap,
                            const std::optional<fault::FaultConfig>& plan) {
   std::atomic<std::uint64_t> hash{0};
   const auto body = [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, overlap_test_config(overlap));
+    cpl::CoupledModel model(comm, {overlap_test_config(overlap)});
     // One full ocean coupling cycle plus a window, so both phases run with
     // every exchange (i2o, o2i, accumulation, SST return) exercised.
     model.run_windows(overlap_test_config(overlap).ocn_couple_ratio + 1);

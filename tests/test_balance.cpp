@@ -439,7 +439,7 @@ cpl::CoupledConfig rebalance_test_config(cpl::Layout layout, bool rebalance) {
 
 std::uint64_t run_coupled(par::Comm& comm, cpl::Layout layout, bool rebalance,
                           int windows, long long* migrations = nullptr) {
-  cpl::CoupledModel model(comm, rebalance_test_config(layout, rebalance));
+  cpl::CoupledModel model(comm, {rebalance_test_config(layout, rebalance)});
   model.run_windows(windows);
   if (migrations) *migrations = model.rebalance_migrations();
   return model.state_hash();
@@ -519,7 +519,7 @@ cpl::CoupledConfig straggler_test_config(cpl::Layout layout, bool rebalance,
 
 std::uint64_t run_straggler(par::Comm& comm, const cpl::CoupledConfig& config,
                             int windows, long long* migrations = nullptr) {
-  cpl::CoupledModel model(comm, config);
+  cpl::CoupledModel model(comm, {config});
   model.run_windows(windows);
   if (migrations) *migrations = model.rebalance_migrations();
   return model.state_hash();
@@ -580,7 +580,7 @@ TEST(CoupledRebalance, IceStragglerCheckpointOnRebalancedLayoutRestores) {
     const cpl::CoupledConfig config =
         straggler_test_config(cpl::Layout::kSequential, true, Straggler::kIce);
 
-    cpl::CoupledModel a(comm, config);
+    cpl::CoupledModel a(comm, {config});
     a.run_windows(4);
     EXPECT_GT(a.rebalance_migrations(), 0)
         << "checkpoint must land on a rebalanced ice decomposition";
@@ -588,7 +588,7 @@ TEST(CoupledRebalance, IceStragglerCheckpointOnRebalancedLayoutRestores) {
     a.run_windows(2);
     const std::uint64_t hash_a = a.state_hash();
 
-    cpl::CoupledModel b(comm, config);
+    cpl::CoupledModel b(comm, {config});
     b.restore(dir.path());
     b.run_windows(2);
     EXPECT_EQ(b.state_hash(), hash_a);
@@ -671,7 +671,7 @@ TEST(CoupledRebalance, RestoredBusyWatermarkReproducesFirstDecision) {
     // would leave the restored run below the floor and flip the decision.
     config.rebalance.min_phase_seconds = 0.17;
 
-    cpl::CoupledModel a(comm, config);
+    cpl::CoupledModel a(comm, {config});
     a.run_windows(3);  // busy accumulates mid-measurement-window
     ASSERT_EQ(a.rebalance_migrations(), 0);
     a.checkpoint(dir.path());
@@ -683,7 +683,7 @@ TEST(CoupledRebalance, RestoredBusyWatermarkReproducesFirstDecision) {
     // The restored run must reach the same first decision: its measurement
     // window only spans post-restore spans, so the checkpointed busy
     // watermark supplies the missing pre-checkpoint stall seconds.
-    cpl::CoupledModel b(comm, config);
+    cpl::CoupledModel b(comm, {config});
     b.restore(dir.path());
     b.run_windows(3);
     EXPECT_EQ(b.rebalance_migrations(), a_migrations);
@@ -700,7 +700,7 @@ TEST(CoupledRebalance, CheckpointOnRebalancedLayoutRestoresBitExact) {
     const cpl::CoupledConfig config =
         rebalance_test_config(cpl::Layout::kSequential, true);
 
-    cpl::CoupledModel a(comm, config);
+    cpl::CoupledModel a(comm, {config});
     a.run_windows(4);
     EXPECT_GT(a.rebalance_migrations(), 0)
         << "checkpoint must land on a rebalanced decomposition";
@@ -710,7 +710,7 @@ TEST(CoupledRebalance, CheckpointOnRebalancedLayoutRestoresBitExact) {
 
     // A fresh model starts on the default decomposition; restore must adopt
     // the checkpointed cuts before reading sections.
-    cpl::CoupledModel b(comm, config);
+    cpl::CoupledModel b(comm, {config});
     b.restore(dir.path());
     b.run_windows(2);
     EXPECT_EQ(b.state_hash(), hash_a);

@@ -1,15 +1,12 @@
-// Unit tests for the base utilities: errors, config, timers, RNG, stats.
+// Unit tests for the base utilities: errors, RNG, stats, constants.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 
-#include "base/config.hpp"
 #include "base/constants.hpp"
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "base/stats.hpp"
-#include "base/timer.hpp"
 
 namespace {
 
@@ -27,95 +24,6 @@ TEST(Error, RequireThrowsWithContext) {
 
 TEST(Error, RequirePassesSilently) {
   EXPECT_NO_THROW(AP3_REQUIRE(2 + 2 == 4));
-}
-
-TEST(Config, ParsesKeyValueLines) {
-  const Config c = Config::from_string(
-      "a = 1\n"
-      "b = 2.5   # trailing comment\n"
-      "# full comment\n"
-      "name = grist\n"
-      "flag = true\n");
-  EXPECT_EQ(c.get_int("a"), 1);
-  EXPECT_DOUBLE_EQ(c.get_double("b"), 2.5);
-  EXPECT_EQ(c.get_string("name"), "grist");
-  EXPECT_TRUE(c.get_bool("flag"));
-}
-
-TEST(Config, MissingKeyThrows) {
-  const Config c = Config::from_string("a = 1\n");
-  EXPECT_THROW(c.get_int("zz"), ConfigError);
-  EXPECT_EQ(c.get_int_or("zz", 7), 7);
-}
-
-TEST(Config, MalformedValueThrows) {
-  const Config c = Config::from_string("a = notanumber\n");
-  EXPECT_THROW(c.get_int("a"), ConfigError);
-  EXPECT_THROW(c.get_double("a"), ConfigError);
-  EXPECT_THROW(c.get_bool("a"), ConfigError);
-}
-
-TEST(Config, MalformedLineThrows) {
-  EXPECT_THROW(Config::from_string("no equals sign here\n"), ConfigError);
-}
-
-TEST(Config, SliceStripsPrefix) {
-  const Config c = Config::from_string("atm.dt = 120\nocn.dt = 20\n");
-  const Config atm = c.slice("atm.");
-  EXPECT_EQ(atm.get_int("dt"), 120);
-  EXPECT_FALSE(atm.has("ocn.dt"));
-}
-
-TEST(Config, MergeOverrides) {
-  Config a = Config::from_string("x = 1\ny = 2\n");
-  const Config b = Config::from_string("y = 3\nz = 4\n");
-  a.merge(b);
-  EXPECT_EQ(a.get_int("x"), 1);
-  EXPECT_EQ(a.get_int("y"), 3);
-  EXPECT_EQ(a.get_int("z"), 4);
-}
-
-TEST(Config, RoundTripsThroughToString) {
-  Config a;
-  a.set("pi", 3.25);
-  a.set("n", 42LL);
-  const Config b = Config::from_string(a.to_string());
-  EXPECT_DOUBLE_EQ(b.get_double("pi"), 3.25);
-  EXPECT_EQ(b.get_int("n"), 42);
-}
-
-TEST(Timer, AbsorbAccumulatesAcrossCalls) {
-  TimerRegistry reg;
-  for (int i = 0; i < 3; ++i)
-    reg.absorb(TimerStats{"work", 1, 0.002, 0.002, 0.002});
-  EXPECT_EQ(reg.calls("work"), 3);
-  EXPECT_NEAR(reg.total("work"), 0.006, 1e-12);
-}
-
-TEST(Timer, AbsorbMergesMinMaxAcrossSources) {
-  TimerRegistry reg;
-  reg.absorb(TimerStats{"t", 2, 3.0, 2.0, 1.0});
-  reg.absorb(TimerStats{"t", 1, 0.5, 0.5, 0.5});
-  const auto snapshot = reg.snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].calls, 3);
-  EXPECT_DOUBLE_EQ(snapshot[0].total_seconds, 3.5);
-  EXPECT_DOUBLE_EQ(snapshot[0].max_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(snapshot[0].min_seconds, 0.5);
-}
-
-TEST(Timer, UnknownNameReadsAsZero) {
-  TimerRegistry reg;
-  EXPECT_DOUBLE_EQ(reg.total("never"), 0.0);
-  EXPECT_EQ(reg.calls("never"), 0);
-}
-
-TEST(Timer, MaxAcrossRanksPicksSlowest) {
-  std::vector<TimerStats> ranks(3);
-  ranks[0].total_seconds = 1.0;
-  ranks[1].total_seconds = 5.0;
-  ranks[2].total_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(max_across_ranks(ranks).total_seconds, 5.0);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

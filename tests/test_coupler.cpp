@@ -125,7 +125,7 @@ TEST(Fluxes, QsatMonotone) {
 TEST(Coupled, SequentialLayoutRunsAndStaysPhysical) {
   par::run(2, [](par::Comm& comm) {
     CoupledConfig config = small_coupled_config();
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
     EXPECT_TRUE(model.has_atm());
     EXPECT_TRUE(model.has_ocn());
     model.run_windows(2 * config.ocn_couple_ratio);
@@ -145,7 +145,7 @@ TEST(Coupled, ConcurrentLayoutPartitionsComponents) {
     CoupledConfig config = small_coupled_config();
     config.layout = Layout::kConcurrent;
     config.atm_ranks = 2;
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
     if (comm.rank() < 2) {
       EXPECT_TRUE(model.has_atm());
       EXPECT_FALSE(model.has_ocn());
@@ -170,7 +170,7 @@ TEST(Coupled, SequentialAndConcurrentAgreeClosely) {
   static double sst_seq, sst_con;
   CoupledConfig config = small_coupled_config();
   par::run(2, [&](par::Comm& comm) {
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
     model.run_windows(config.ocn_couple_ratio);
     const double sst = model.diagnostics().mean_sst_k;  // collective
     if (comm.rank() == 0) sst_seq = sst;
@@ -179,7 +179,7 @@ TEST(Coupled, SequentialAndConcurrentAgreeClosely) {
     CoupledConfig concurrent = config;
     concurrent.layout = Layout::kConcurrent;
     concurrent.atm_ranks = 1;
-    CoupledModel model(comm, concurrent);
+    CoupledModel model(comm, {concurrent});
     model.run_windows(config.ocn_couple_ratio);
     const double sst = model.diagnostics().mean_sst_k;  // collective
     if (comm.rank() == 0) sst_con = sst;
@@ -190,7 +190,7 @@ TEST(Coupled, SequentialAndConcurrentAgreeClosely) {
 TEST(Coupled, OceanCouplesAtConfiguredRatio) {
   par::run(1, [](par::Comm& comm) {
     CoupledConfig config = small_coupled_config();
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
     model.run_windows(10);
     // The ocean advanced 2 windows of 5 atm windows each.
     ASSERT_TRUE(model.has_ocn());
@@ -206,7 +206,7 @@ TEST(Coupled, OceanCouplesAtConfiguredRatio) {
 TEST(Coupled, TyphoonSeedTrackAndColdWake) {
   par::run(2, [](par::Comm& comm) {
     CoupledConfig config = small_coupled_config();
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
 
     atm::VortexSpec spec;
     spec.lon_deg = 135.0;
@@ -236,7 +236,7 @@ TEST(Coupled, GetTimingReportsSypd) {
   // whole-application measurement excluding initialization.
   par::run(2, [](par::Comm& comm) {
     CoupledConfig config = small_coupled_config();
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
     model.run_windows(config.ocn_couple_ratio);
     const TimingSummary summary = model.timing_summary();
     EXPECT_GT(summary.wall_seconds, 0.0);
@@ -244,12 +244,12 @@ TEST(Coupled, GetTimingReportsSypd) {
     EXPECT_GT(summary.sypd(), 0.0);
     // Phases present and nested times bounded by the run total.
     bool saw_atm = false, saw_ocn = false;
-    for (const PhaseTiming& phase : summary.phases) {
-      EXPECT_LE(phase.mean_seconds, phase.max_seconds + 1e-12);
+    for (const obs::MergedSpan& phase : summary.phases) {
+      EXPECT_LE(phase.total_mean, phase.total_max + 1e-12);
       if (phase.name == "run:atm_ice_phase:atm_run") saw_atm = true;
       if (phase.name == "run:ocn_phase:ocn_run") saw_ocn = true;
       if (phase.name != "run") {
-        EXPECT_LE(phase.max_seconds, summary.wall_seconds + 1e-9);
+        EXPECT_LE(phase.total_max, summary.wall_seconds + 1e-9);
       }
     }
     EXPECT_TRUE(saw_atm);
@@ -262,7 +262,7 @@ TEST(Coupled, GetTimingReportsSypd) {
 TEST(Coupled, WindowSecondsConsistent) {
   par::run(1, [](par::Comm& comm) {
     CoupledConfig config = small_coupled_config();
-    CoupledModel model(comm, config);
+    CoupledModel model(comm, {config});
     EXPECT_DOUBLE_EQ(model.atm_window_seconds(),
                      config.atm.model_dt_seconds());
     EXPECT_DOUBLE_EQ(model.ocn_window_seconds(),
@@ -320,7 +320,7 @@ TEST(CoupledValidation, ConstructionFailsFastOnBadConfig) {
   par::run(1, [](par::Comm& comm) {
     CoupledConfig config = small_coupled_config();
     config.ocn_couple_ratio = 0;
-    EXPECT_THROW(CoupledModel model(comm, config), ap3::Error);
+    EXPECT_THROW(CoupledModel model(comm, {config}), ap3::Error);
   });
 }
 

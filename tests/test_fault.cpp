@@ -315,7 +315,9 @@ TEST(FaultAccounting, FaultFreeWorldReportsNothing) {
     EXPECT_EQ(stats.injected(), 0u);
     EXPECT_EQ(stats.recovered(), 0u);
     if (comm.rank() == 0) comm.send_value(1, 1, 0);
-    if (comm.rank() == 1) EXPECT_EQ(comm.recv_value<int>(0, 0), 1);
+    if (comm.rank() == 1) {
+      EXPECT_EQ(comm.recv_value<int>(0, 0), 1);
+    }
   });
 }
 

@@ -253,19 +253,19 @@ TEST(Fleet, MemberHashSurvivesTransportFaults) {
 }
 
 // The unperturbed control member (seed 0, shared inputs, donated plans) is
-// bit-identical to the legacy construction path with no scenario at all.
-TEST(Fleet, ControlMemberMatchesLegacySoloConstruction) {
+// bit-identical to a solo model built from the bare config (private context).
+TEST(Fleet, ControlMemberMatchesSoloConstruction) {
   constexpr int kRanks = 2;
   constexpr int kWindows = 5;
   const cpl::CoupledConfig config = fleet_config();
   const auto shared = cpl::build_shared_inputs(config);
 
-  std::uint64_t legacy = 0;
+  std::uint64_t solo = 0;
   run_ranks(kRanks, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);  // legacy ctor: no spec, no shared
+    cpl::CoupledModel model(comm, {config});  // no seed, no shared context
     model.run_windows(kWindows);
     const std::uint64_t h = model.state_hash();
-    if (comm.rank() == 0) legacy = h;
+    if (comm.rank() == 0) solo = h;
   });
 
   run_ranks(kRanks, [&](par::Comm& comm) {
@@ -275,9 +275,9 @@ TEST(Fleet, ControlMemberMatchesLegacySoloConstruction) {
     fl.run_windows(kWindows);
     const auto hashes = fl.state_hashes();
     if (comm.rank() == 0) {
-      EXPECT_EQ(hashes[0], legacy)
-          << "shared-inputs control diverged from the legacy solo path";
-      EXPECT_NE(hashes[1], legacy);  // perturbed members actually diverge
+      EXPECT_EQ(hashes[0], solo)
+          << "shared-inputs control diverged from the solo path";
+      EXPECT_NE(hashes[1], solo);  // perturbed members actually diverge
       EXPECT_NE(hashes[2], hashes[1]);
     }
   });

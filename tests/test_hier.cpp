@@ -313,7 +313,7 @@ std::uint64_t run_coupled_hash(par::Comm& comm, par::CollectiveAlgo algo,
                                int supernode) {
   const par::Comm wrapped =
       comm.with_topology(clustered(comm.size(), supernode), algo);
-  cpl::CoupledModel model(wrapped, hier_test_config());
+  cpl::CoupledModel model(wrapped, {hier_test_config()});
   model.run_windows(4);
   return model.state_hash();
 }

@@ -27,7 +27,7 @@ cpl::CoupledConfig tiny_config() {
 
 TEST(Integration, AtmToOcnRegridPreservesPhysicalRange) {
   par::run(2, [](par::Comm& comm) {
-    cpl::CoupledModel model(comm, tiny_config());
+    cpl::CoupledModel model(comm, {tiny_config()});
     model.run_windows(5);
     // After one full ocean coupling cycle the ocean forcing derived from
     // regridded atmosphere fields must be physical.
@@ -46,7 +46,7 @@ TEST(Integration, AtmToOcnRegridPreservesPhysicalRange) {
 
 TEST(Integration, IceRespondsToOceanThroughCoupler) {
   par::run(2, [](par::Comm& comm) {
-    cpl::CoupledModel model(comm, tiny_config());
+    cpl::CoupledModel model(comm, {tiny_config()});
     const double ice0 = model.diagnostics().ice_fraction;
     model.run_windows(10);
     const double ice1 = model.diagnostics().ice_fraction;
@@ -61,7 +61,7 @@ TEST(Integration, IceRespondsToOceanThroughCoupler) {
 TEST(Integration, LandCellsUseLandModelOceanCellsUseSst) {
   par::run(1, [](par::Comm& comm) {
     cpl::CoupledConfig config = tiny_config();
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(6);
     ASSERT_TRUE(model.has_atm());
     atm::AtmModel* atm = &model.atm();
@@ -179,9 +179,9 @@ TEST(Integration, PerfModelUsesRealComponentConstants) {
 TEST(Integration, CoupledTimersObserveComponentRatio) {
   // The atmosphere does far more work per window than the ice; wall-clock
   // observation through the whole stack should reflect it. Measured with the
-  // observability layer's RAII span (the TimerRegistry start/stop migration).
+  // observability layer's RAII span.
   par::run(1, [](par::Comm& comm) {
-    cpl::CoupledModel model(comm, tiny_config());
+    cpl::CoupledModel model(comm, {tiny_config()});
     const std::size_t mark = obs::local().event_count();
     {
       AP3_SPAN("cpl:total");
@@ -201,7 +201,7 @@ TEST(Integration, ConcurrentLayoutSurvivesTyphoonPipeline) {
     cpl::CoupledConfig config = tiny_config();
     config.layout = cpl::Layout::kConcurrent;
     config.atm_ranks = 2;
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.seed_typhoon(atm::VortexSpec{});
     model.run_windows(6);
     const atm::VortexFix fix = model.track_typhoon(130.0, 15.0, 2500.0);

@@ -1,19 +1,19 @@
 // Tests for the unified observability layer (src/obs): RAII span nesting,
 // the enabled/disabled toggle, counter determinism across execution spaces,
 // traffic accounting for par collectives, the cross-rank merge collective,
-// the TimerRegistry compatibility shim, and the Chrome-trace exporter
-// (round-tripped through a real coupled-model run, the quickstart --trace
-// path).
+// the getTiming report built on it (CoupledModel::timing_summary), and the
+// Chrome-trace exporter (round-tripped through a real coupled-model run, the
+// quickstart --trace path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
-#include "base/timer.hpp"
+#include "base/constants.hpp"
 #include "coupler/driver.hpp"
 #include "obs/export.hpp"
 #include "obs/merge.hpp"
@@ -382,34 +382,72 @@ TEST(ObsMerge, SumsCountersAndMaxesSpansAcrossRanks) {
   });
 }
 
-// --- TimerRegistry compatibility shim ----------------------------------------
+// --- getTiming report ---------------------------------------------------------
 
-TEST(ObsShim, TimerRegistryFedFromSpans) {
+// timing_summary() is obs::merge over the spans recorded since construction,
+// filtered to the driver's "run" subtree: earlier spans and other namespaces
+// stay out, and every phase reduces as max and mean over every rank, also a
+// phase seen on one rank only.
+TEST(ObsTiming, SummaryKeepsRunPhasesSinceConstruction) {
   fresh_obs();
-  {
-    AP3_SPAN("cpl");
+  constexpr int kRanks = 2;
+  std::vector<cpl::TimingSummary> summaries(kRanks);
+  std::vector<double> run_totals(kRanks, 0.0);  // each rank's own "run" total
+  double probe_total = 0.0;  // rank 1's own "run:probe" total
+  par::run(kRanks, [&](par::Comm& comm) {
     {
-      AP3_SPAN("cpl:run");
+      AP3_SPAN("run:before_construction");
     }
-  }
-  {
-    AP3_SPAN("cpl");
-  }
-  TimerRegistry registry;
-  obs::fill_registry(obs::local(), 0, registry);
-  EXPECT_EQ(registry.calls("cpl"), 2);
-  EXPECT_EQ(registry.calls("cpl:run"), 1);
-  EXPECT_GE(registry.total("cpl"), registry.total("cpl:run"));
-  EXPECT_NE(registry.report().find("cpl:run"), std::string::npos);
+    cpl::CoupledModel model(comm, {tiny_coupled_config()});
+    model.run_windows(1);
+    {
+      AP3_SPAN("cpl:probe");
+    }
+    {
+      AP3_SPAN("runner:probe");
+    }
+    if (comm.rank() == 1) {
+      AP3_SPAN("run:probe");
+      volatile double sink = 0.0;
+      for (int i = 0; i < 10000; ++i) sink = sink + 1.0;
+    }
+    for (const obs::SpanStats& s : obs::local().aggregate_spans()) {
+      if (s.name == "run")
+        run_totals[static_cast<std::size_t>(comm.rank())] = s.total_seconds;
+      if (s.name == "run:probe") probe_total = s.total_seconds;
+    }
+    summaries[static_cast<std::size_t>(comm.rank())] = model.timing_summary();
+  });
 
-  // Prefix filtering keeps the paper-facing phase namespace clean.
-  TimerRegistry filtered;
-  obs::fill_registry(obs::local(), 0, filtered, "cpl:run");
-  EXPECT_EQ(filtered.calls("cpl:run"), 1);
-  EXPECT_EQ(filtered.calls("cpl"), 0);
+  ASSERT_GT(probe_total, 0.0);
+  for (const cpl::TimingSummary& summary : summaries) {
+    bool saw_run = false, saw_probe = false;
+    for (const obs::MergedSpan& phase : summary.phases) {
+      EXPECT_TRUE(phase.name == "run" || phase.name.starts_with("run:"))
+          << "non-run span in phases: " << phase.name;
+      EXPECT_NE(phase.name, "run:before_construction")
+          << "span recorded before construction leaked into phases";
+      if (phase.name == "run") {
+        saw_run = true;
+        EXPECT_EQ(phase.total_max, std::max(run_totals[0], run_totals[1]));
+        EXPECT_EQ(phase.total_mean, (run_totals[0] + run_totals[1]) / 2.0);
+        EXPECT_EQ(summary.wall_seconds, phase.total_max);
+      }
+      if (phase.name == "run:probe") {
+        saw_probe = true;
+        EXPECT_EQ(phase.total_max, probe_total);
+        EXPECT_EQ(phase.total_mean, probe_total / 2.0);
+        EXPECT_EQ(phase.calls, 1);
+      }
+    }
+    EXPECT_TRUE(saw_run);
+    EXPECT_TRUE(saw_probe);
+  }
+  // The reduction happened once, in the collective: both ranks agree.
+  EXPECT_EQ(summaries[0].to_string(), summaries[1].to_string());
 }
 
-TEST(ObsShim, TreeReportIsSupersetOfTimerReport) {
+TEST(ObsExport, TreeReportListsSpansAndCounters) {
   fresh_obs();
   {
     AP3_SPAN("a");
@@ -430,44 +468,36 @@ TEST(ObsTrace, CoupledRunRoundTripsThroughChromeTrace) {
   fresh_obs();
   const std::string path = "obs_trace_test.json";
 
-  double span_sypd = 0.0, legacy_sypd = 0.0;
   par::run(2, [&](par::Comm& comm) {
     cpl::CoupledConfig config = tiny_coupled_config();
-    cpl::CoupledModel model(comm, config);
-
-    // Legacy getTiming-shaped path: one wall-clock measurement of the
-    // identical run absorbed into a registry.
-    TimerRegistry legacy;
-    const auto wall_start = std::chrono::steady_clock::now();
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(config.ocn_couple_ratio);
-    const double wall_secs = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - wall_start)
-                                 .count();
-    legacy.absorb(TimerStats{"run", 1, wall_secs, wall_secs, wall_secs});
+    const cpl::TimingSummary summary = model.timing_summary();
+    const obs::MergedReport merged = obs::merge(comm);
+
+    // The report's wall time is exactly merge's "run" total (max across
+    // ranks), and its SYPD is the simulated span over that wall time.
+    double run_max = -1.0;
+    for (const obs::MergedSpan& span : merged.spans)
+      if (span.name == "run") run_max = span.total_max;
+    EXPECT_EQ(summary.wall_seconds, run_max);
     const double simulated =
         static_cast<double>(model.windows_run()) * model.atm_window_seconds();
-    const cpl::TimingSummary from_spans = model.timing_summary();
-    const cpl::TimingSummary from_legacy =
-        cpl::summarize_timing(comm, legacy, simulated);
-    if (comm.rank() == 0) {
-      span_sypd = from_spans.sypd();
-      legacy_sypd = from_legacy.sypd();
-    }
+    EXPECT_EQ(summary.simulated_seconds, simulated);
+    EXPECT_EQ(summary.sypd(),
+              (simulated / constants::kSecondsPerYear) /
+                  (summary.wall_seconds / constants::kSecondsPerDay));
+    EXPECT_GT(summary.sypd(), 0.0);
 
     // Driver phases present, fed from spans.
     bool saw_ocn = false, saw_atm = false;
-    for (const auto& phase : from_spans.phases) {
+    for (const auto& phase : summary.phases) {
       if (phase.name == "run:ocn_phase") saw_ocn = true;
       if (phase.name == "run:atm_ice_phase") saw_atm = true;
     }
     EXPECT_TRUE(saw_ocn);
     EXPECT_TRUE(saw_atm);
   });
-
-  // SYPD derived from spans matches the legacy timer path to within 1%.
-  ASSERT_GT(span_sypd, 0.0);
-  ASSERT_GT(legacy_sypd, 0.0);
-  EXPECT_NEAR(span_sypd / legacy_sypd, 1.0, 0.01);
 
   // Per-rank coupler phase spans nest correctly inside their "run" span.
   std::size_t expected_events = 0;

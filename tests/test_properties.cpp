@@ -421,7 +421,7 @@ TEST_P(CoupledFaultProperty, TrajectoryIdenticalUnderRandomFaultPlan) {
   static std::uint64_t baseline_hash = 0;  // fault-free oracle, computed once
   if (baseline_hash == 0) {
     ap3::testing::run_ranks(2, [&](par::Comm& comm) {
-      cpl::CoupledModel model(comm, config);
+      cpl::CoupledModel model(comm, {config});
       model.run_windows(2);
       const std::uint64_t h = model.state_hash();  // collective
       if (comm.rank() == 0) baseline_hash = h;
@@ -431,12 +431,13 @@ TEST_P(CoupledFaultProperty, TrajectoryIdenticalUnderRandomFaultPlan) {
   const fault::FaultConfig plan = ap3::testing::random_no_drop_plan(
       0x10ad5ULL + static_cast<std::uint64_t>(GetParam()));
   ap3::testing::run_ranks(2, plan, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(2);
     const std::uint64_t h = model.state_hash();  // collective
-    if (comm.rank() == 0)
+    if (comm.rank() == 0) {
       EXPECT_EQ(h, baseline_hash)
           << "coupled trajectory diverged under fault plan " << GetParam();
+    }
   });
 }
 

@@ -393,7 +393,7 @@ void expect_bit_exact_restart(int nranks, const cpl::CoupledConfig& config) {
 
   std::uint64_t hash_mid = 0, hash_end = 0;
   run_ranks(nranks, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(kWindows);
     model.checkpoint(dir);
     const std::uint64_t mid = model.state_hash();  // collective
@@ -406,7 +406,7 @@ void expect_bit_exact_restart(int nranks, const cpl::CoupledConfig& config) {
   });
 
   run_ranks(nranks, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.restore(dir);
     EXPECT_EQ(model.windows_run(), kWindows);
     const std::uint64_t mid = model.state_hash();  // collective
@@ -438,7 +438,7 @@ TEST(CoupledRestart, AsyncCheckpointBitExact) {
 
   std::uint64_t hash_mid = 0, hash_end = 0;
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(kWindows);
     model.checkpoint_async(dir);
     const std::uint64_t mid = model.state_hash();
@@ -453,7 +453,7 @@ TEST(CoupledRestart, AsyncCheckpointBitExact) {
   });
 
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.restore(dir);
     EXPECT_EQ(model.windows_run(), kWindows);
     const std::uint64_t mid = model.state_hash();
@@ -476,7 +476,7 @@ TEST(CoupledRestart, AsyncCheckpointBackPressure) {
   const std::string d1 = tmp.file("s1"), d2 = tmp.file("s2"),
                     d3 = tmp.file("s3");
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(1);
     model.checkpoint_async(d1);
     model.run_windows(1);
@@ -490,7 +490,7 @@ TEST(CoupledRestart, AsyncCheckpointBackPressure) {
 
     for (const auto& [dir, windows] :
          {std::pair<std::string, int>{d1, 1}, {d2, 2}, {d3, 3}}) {
-      cpl::CoupledModel fresh(comm, config);
+      cpl::CoupledModel fresh(comm, {config});
       fresh.restore(dir);
       EXPECT_EQ(fresh.windows_run(), windows) << dir;
     }
@@ -504,14 +504,14 @@ TEST(CoupledRestart, AsyncCheckpointSameDirSerializes) {
   TempDir tmp;
   const std::string dir = tmp.file("snap");
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(1);
     model.checkpoint_async(dir);
     model.run_windows(1);
     model.checkpoint_async(dir);  // finalizes the first, starts a second
     model.checkpoint_wait();
 
-    cpl::CoupledModel fresh(comm, config);
+    cpl::CoupledModel fresh(comm, {config});
     fresh.restore(dir);  // latest snapshot wins
     EXPECT_EQ(fresh.windows_run(), 2);
   });
@@ -540,12 +540,12 @@ TEST(CoupledRestart, GroupScaledRestoreWithinUlpBound) {
   const std::string dir = tmp.file("cpl_gs");
 
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(2);
     model.checkpoint(dir);
     const auto original = model.local_checkpoint_sections();
 
-    cpl::CoupledModel fresh(comm, config);
+    cpl::CoupledModel fresh(comm, {config});
     fresh.restore(dir);
     EXPECT_EQ(fresh.windows_run(), 2);
     const auto restored = fresh.local_checkpoint_sections();
@@ -571,7 +571,7 @@ TEST(CoupledRestart, GroupScaledImpossibleBoundFailsOnEveryRank) {
   TempDir tmp;
   const std::string dir = tmp.file("cpl_gs0");
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(1);
     int threw = 0;
     try {
@@ -652,7 +652,7 @@ TEST(CoupledRestart, OnlineTrainingBitExact) {
 
   std::uint64_t hash_mid = 0, hash_end = 0;
   run_ranks(kRanks, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     install(model);
     model.run_windows(kWindows);
     model.checkpoint(dir);
@@ -666,7 +666,7 @@ TEST(CoupledRestart, OnlineTrainingBitExact) {
   });
 
   run_ranks(kRanks, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     install(model);  // fresh weights; restore must overwrite them
     model.restore(dir);
     const std::uint64_t mid = model.state_hash();
@@ -689,13 +689,13 @@ TEST(CoupledRestart, OnlineTrainingFlagMismatchRejected) {
   atm::OnlineTrainingConfig online;
   online.sample_cols = 4;
   run_ranks(1, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.install_ai_physics(
         cpl::AiInstallOptions{make_test_suite(6), {}, online});
     model.run_windows(1);
     model.checkpoint(dir);
 
-    cpl::CoupledModel plain(comm, config);
+    cpl::CoupledModel plain(comm, {config});
     cpl::AiInstallOptions plain_opts;
     plain_opts.suite = make_test_suite(6);
     plain.install_ai_physics(plain_opts);
@@ -714,13 +714,13 @@ TEST(CoupledRestart, ConfigMismatchRejected) {
   const std::string dir = tmp.file("cpl_snap");
   const cpl::CoupledConfig config = restart_config();
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(1);
     model.checkpoint(dir);
 
     cpl::CoupledConfig other = config;
     other.ocn_couple_ratio = 3;
-    cpl::CoupledModel wrong(comm, other);
+    cpl::CoupledModel wrong(comm, {other});
     EXPECT_THROW(wrong.restore(dir), Error);
   });
 }
@@ -728,7 +728,7 @@ TEST(CoupledRestart, ConfigMismatchRejected) {
 TEST(CoupledRestart, MissingSnapshotRejected) {
   TempDir tmp;
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, restart_config());
+    cpl::CoupledModel model(comm, {restart_config()});
     EXPECT_THROW(model.restore(tmp.file("not_there")), Error);
   });
 }
@@ -738,13 +738,13 @@ TEST(CoupledRestart, CorruptedSnapshotRejected) {
   const std::string dir = tmp.file("cpl_snap");
   const cpl::CoupledConfig config = restart_config();
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     model.run_windows(1);
     model.checkpoint(dir);
   });
   corrupt_file(dir + "/MANIFEST.bin");
   run_ranks(2, [&](par::Comm& comm) {
-    cpl::CoupledModel model(comm, config);
+    cpl::CoupledModel model(comm, {config});
     EXPECT_THROW(model.restore(dir), Error);
   });
 }
