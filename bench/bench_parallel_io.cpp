@@ -4,8 +4,8 @@
 // Three sections, each with a hard witness (the benchmark exits 1 if a
 // witness fails, so the numbers it prints cannot be quietly wrong):
 //
-//   1. subfile sweep — single-file baseline vs 2/4/8 subfiles, round-trip
-//      verified.
+//   1. subfile sweep — 1 subfile (the single-file baseline: every rank's
+//      data funnels through rank 0) vs 2/4/8 subfiles, round-trip verified.
 //   2. codec — fp64 vs group-scaled record bytes (expected ≈ 2x saved),
 //      restored values within the ULP bound, and a probe proving an
 //      unmeetable bound hard-fails instead of writing a bad snapshot.
@@ -66,20 +66,12 @@ IoTiming run_case(int num_subfiles, std::int64_t points_per_rank) {
 
     comm.barrier();
     const auto w0 = Clock::now();
-    if (num_subfiles == 0) {
-      io::write_single(comm, base + ".bin", mine);
-    } else {
-      io::write_subfiles(comm, {base, num_subfiles}, mine);
-    }
+    io::write_subfiles(comm, {base, num_subfiles}, mine);
     comm.barrier();
     const auto w1 = Clock::now();
 
-    io::FieldData back;
-    if (num_subfiles == 0) {
-      back = io::read_single(comm, base + ".bin", mine.ids);
-    } else {
-      back = io::read_subfiles(comm, {base, num_subfiles}, mine.ids);
-    }
+    const io::FieldData back =
+        io::read_subfiles(comm, {base, num_subfiles}, mine.ids);
     comm.barrier();
     const auto r1 = Clock::now();
 
@@ -90,7 +82,6 @@ IoTiming run_case(int num_subfiles, std::int64_t points_per_rank) {
       timing.verified = ok;
     }
   });
-  std::remove((base + ".bin").c_str());
   for (int k = 0; k < 8; ++k)
     std::remove((base + "." + std::to_string(k) + ".bin").c_str());
   return timing;
@@ -327,12 +318,12 @@ int main() {
               static_cast<long long>(points_per_rank), mb);
   std::printf("  layout        write [ms]   read [ms]   write MB/s   ok\n");
   IoTiming sweep[4];
-  const int sweep_subfiles[4] = {0, 2, 4, 8};
+  const int sweep_subfiles[4] = {1, 2, 4, 8};
   for (int c = 0; c < 4; ++c) {
     const IoTiming t = run_case(sweep_subfiles[c], points_per_rank);
     sweep[c] = t;
     char label[32];
-    if (sweep_subfiles[c] == 0)
+    if (sweep_subfiles[c] == 1)
       std::snprintf(label, sizeof label, "single file");
     else
       std::snprintf(label, sizeof label, "%d subfiles", sweep_subfiles[c]);

@@ -918,11 +918,10 @@ std::unique_ptr<io::CheckpointWriter> CoupledModel::begin_checkpoint(
     const std::string& dir, bool async) {
   const bool ai_on = ai_physics_active();
   std::map<std::string, io::FieldData> local = local_sections(ai_on);
-  io::CheckpointOptions options = config_.checkpoint;
-  options.async = async;
-  auto writer = std::make_unique<io::CheckpointWriter>(global_, dir, options);
+  auto writer = std::make_unique<io::CheckpointWriter>(
+      global_, dir, config_.checkpoint, async);
   for (const std::string& name : section_inventory(ai_on)) {
-    io::CodecSpec spec = options.codec;
+    io::CodecSpec spec = config_.checkpoint.codec;
     if (spec.codec != io::Codec::kFp64 && lossless_required_section(name))
       spec = io::CodecSpec{};
     auto it = local.find(name);

@@ -70,10 +70,10 @@ struct CoupledConfig {
   balance::RebalancePolicy rebalance;  ///< hysteresis / cost-model knobs
   /// Checkpoint I/O policy: subfile fan-out, payload codec (fp64 bit-exact
   /// or group-scaled fp32+scales with a verified ULP bound), and the
-  /// slow-disk bench knob. The `async` flag is ignored here — the driver
-  /// picks sync/async per call (checkpoint vs checkpoint_async). Sections
-  /// holding integers or bit-cast words (RNG state, step counters, training
-  /// bookkeeping) are always written fp64 regardless of the codec policy.
+  /// slow-disk bench knob. Sync or async is picked per call (checkpoint vs
+  /// checkpoint_async). Sections holding integers or bit-cast words (RNG
+  /// state, step counters, training bookkeeping) are always written fp64
+  /// regardless of the codec policy.
   io::CheckpointOptions checkpoint;
 };
 

@@ -99,9 +99,11 @@ const std::vector<double>& section_values(const std::vector<Section>& sections,
 }
 
 CheckpointWriter::CheckpointWriter(const par::Comm& comm, std::string dir,
-                                   CheckpointOptions options)
-    : comm_(comm), dir_(std::move(dir)), options_(options) {
-  AP3_REQUIRE(options_.num_subfiles >= 1);
+                                   CheckpointOptions options, bool async)
+    : comm_(comm),
+      dir_(std::move(dir)),
+      options_(options),
+      group_(comm, options.num_subfiles) {  // checks num_subfiles, then splits
   if (comm_.rank() == 0) {
     std::filesystem::create_directories(dir_);
     // Invalidate before mutate: once any section of a reused directory is
@@ -114,7 +116,7 @@ CheckpointWriter::CheckpointWriter(const par::Comm& comm, std::string dir,
   }
   comm_.barrier();  // no rank writes a section before the directory exists
                     // and the old manifest is gone
-  if (options_.async) stream_ = std::make_unique<pp::Stream>();
+  if (async) stream_ = std::make_unique<pp::Stream>();
 }
 
 CheckpointWriter::~CheckpointWriter() {
@@ -145,33 +147,22 @@ void CheckpointWriter::add_section(const std::string& name,
                    [&](const auto& s) { return s.first == name; }) ==
           sections_.end(),
       "duplicate checkpoint section '" << name << "'");
-  record_section_write(name, local, spec);
   sections_.emplace_back(name, spec.codec);
-}
-
-void CheckpointWriter::record_section_write(const std::string& name,
-                                            const FieldData& local,
-                                            const CodecSpec& spec) {
-  SubfileConfig config{dir_ + "/" + name, options_.num_subfiles, spec,
-                       options_.slow_disk_seconds_per_mb};
   // The gather is collective and must run here, on the rank thread; only
   // the pure-local encode+write may move to the pool.
-  auto gathered = gather_subfiles(comm_, config, local);
-  if (!options_.async) {
-    if (gathered && deferred_error_.empty()) {
+  auto gathered = group_.gather(dir_ + "/" + name, local);
+  if (!gathered) return;
+  if (!stream_) {
+    if (deferred_error_.empty()) {
       try {
-        const std::size_t bytes = write_gathered(
-            *gathered, spec, options_.slow_disk_seconds_per_mb);
-        bytes_written_ += bytes;
-        obs::counter_add("io:subfile:bytes_written",
-                         static_cast<double>(bytes));
+        bytes_written_ += write_gathered(*gathered, spec,
+                                         options_.slow_disk_seconds_per_mb);
       } catch (const std::exception& e) {
         deferred_error_ = e.what();
       }
     }
     return;
   }
-  if (!gathered) return;
   auto record = std::make_shared<GatheredSubfile>(std::move(*gathered));
   auto bytes = std::make_shared<std::size_t>(0);
   pp::Event event = stream_->enqueue(
@@ -179,8 +170,6 @@ void CheckpointWriter::record_section_write(const std::string& name,
       [record, bytes, spec, slow = options_.slow_disk_seconds_per_mb] {
         AP3_SPAN("io:subfile:write_async");
         *bytes = write_gathered(*record, spec, slow);
-        obs::counter_add("io:subfile:bytes_written",
-                         static_cast<double>(*bytes));
       });
   pending_.push_back({std::move(event), std::move(bytes)});
 }
@@ -188,12 +177,6 @@ void CheckpointWriter::record_section_write(const std::string& name,
 void CheckpointWriter::set_scalar(const std::string& name, double value) {
   AP3_REQUIRE_MSG(!finalized_, "set_scalar after finalize");
   scalars_[name] = value;
-}
-
-bool CheckpointWriter::writes_complete() const {
-  for (const PendingWrite& pending : pending_)
-    if (!pending.event.ready()) return false;
-  return true;
 }
 
 void CheckpointWriter::wait() {
@@ -284,8 +267,7 @@ CheckpointReader::CheckpointReader(const par::Comm& comm,
   AP3_REQUIRE_MSG(nranks == comm_.size(),
                   "checkpoint written by " << nranks << " ranks, restoring on "
                                            << comm_.size());
-  num_subfiles_ = cursor.get<std::int32_t>();
-  AP3_REQUIRE(num_subfiles_ >= 1);
+  const auto num_subfiles = cursor.get<std::int32_t>();
 
   const auto nsections = cursor.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < nsections; ++i) {
@@ -306,6 +288,7 @@ CheckpointReader::CheckpointReader(const par::Comm& comm,
                   "checkpoint manifest checksum mismatch (corrupt snapshot)");
   AP3_REQUIRE_MSG(cursor.at == blob.size(),
                   "trailing bytes after checkpoint manifest");
+  group_.emplace(comm_, num_subfiles);
 }
 
 bool CheckpointReader::has_section(const std::string& name) const {
@@ -341,11 +324,7 @@ std::vector<std::string> CheckpointReader::section_names() const {
 FieldData CheckpointReader::read_section(
     const std::string& name,
     const std::vector<std::int64_t>& expected_ids) const {
-  AP3_REQUIRE_MSG(has_section(name),
-                  "checkpoint has no section '" << name << "'");
-  SubfileConfig config{dir_ + "/" + name, num_subfiles_};
-  config.expected_codec = section_codec(name);
-  return read_subfiles(comm_, config, expected_ids);
+  return group_->read(dir_ + "/" + name, expected_ids, section_codec(name));
 }
 
 }  // namespace ap3::io

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,6 @@ struct CheckpointOptions {
   /// Default payload codec for sections; callers may override per section
   /// (the driver forces kFp64 for bit-sensitive sections like RNG state).
   CodecSpec codec{};
-  /// Double-buffer section writes onto a pp::Stream task lane.
-  bool async = false;
   /// Synthetic slow-disk bench knob, forwarded to the subfile writer.
   double slow_disk_seconds_per_mb = 0.0;
 };
@@ -87,13 +86,10 @@ const std::vector<double>& section_values(const std::vector<Section>& sections,
 /// rank; add_section only throws for symmetric misuse (bad/duplicate name).
 class CheckpointWriter {
  public:
+  /// Collective: splits the SubfileGroup every section goes through. `async`
+  /// double-buffers section writes onto a pp::Stream task lane.
   CheckpointWriter(const par::Comm& comm, std::string dir,
-                   CheckpointOptions options);
-  /// Sync fp64 writer (the historical default).
-  CheckpointWriter(const par::Comm& comm, std::string dir,
-                   int num_subfiles = 1)
-      : CheckpointWriter(comm, std::move(dir),
-                         CheckpointOptions{num_subfiles}) {}
+                   CheckpointOptions options = {}, bool async = false);
   /// Drains any still-pending async writes (without collectives — safe on
   /// one rank during exception unwind); an unfinalized dir has no manifest
   /// and therefore no claim to completeness.
@@ -116,10 +112,6 @@ class CheckpointWriter {
   /// Collective completion fence: blocks until every enqueued write
   /// finished, then rethrows the first deferred failure on ALL ranks.
   void wait();
-  /// Non-collective poll: true once every enqueued write has finished.
-  bool writes_complete() const;
-  /// Enqueued-but-not-yet-fenced async writes on this rank.
-  std::size_t pending_writes() const { return pending_.size(); }
 
   /// Collective: wait(), then commit the manifest on rank 0 via tmp+rename.
   /// Must be called exactly once; without it the snapshot does not exist.
@@ -136,12 +128,10 @@ class CheckpointWriter {
     std::shared_ptr<std::size_t> bytes;
   };
 
-  void record_section_write(const std::string& name, const FieldData& local,
-                            const CodecSpec& spec);
-
   const par::Comm& comm_;
   std::string dir_;
   CheckpointOptions options_;
+  SubfileGroup group_;
   bool finalized_ = false;
   std::vector<std::pair<std::string, Codec>> sections_;
   std::map<std::string, double> scalars_;
@@ -152,8 +142,9 @@ class CheckpointWriter {
 };
 
 /// Collective reader: construction validates the manifest (magic, version,
-/// checksum, rank count) on every rank symmetrically, so every rank can
-/// query scalars locally and read sections collectively.
+/// checksum, rank count) on every rank symmetrically, then splits the
+/// SubfileGroup every section is read through, so every rank can query
+/// scalars locally and read sections collectively.
 class CheckpointReader {
  public:
   CheckpointReader(const par::Comm& comm, const std::string& dir);
@@ -171,14 +162,13 @@ class CheckpointReader {
                          const std::vector<std::int64_t>& expected_ids) const;
 
   std::vector<std::string> section_names() const;
-  int num_subfiles() const { return num_subfiles_; }
 
  private:
   const par::Comm& comm_;
   std::string dir_;
-  int num_subfiles_ = 1;
   std::vector<std::pair<std::string, Codec>> sections_;
   std::map<std::string, double> scalars_;
+  std::optional<SubfileGroup> group_;  ///< split once the manifest is valid
 };
 
 }  // namespace ap3::io

@@ -3,9 +3,12 @@
 // "A data-partitioning strategy that divides data into smaller subfiles is
 // implemented. We assign groups of MPI ranks to the I/O for a set of
 // subfiles, and leverage a binary format." Ranks are split into
-// `num_subfiles` groups; each group's aggregator gathers members' (id,
-// value) pairs and writes one binary subfile. The single-file baseline
-// funnels everything through rank 0 — the original bottleneck the
+// `num_subfiles` groups (a SubfileGroup: one communicator split, reused for
+// every section a checkpoint writer or reader moves). Each group's
+// aggregator, its lowest rank, gathers the members' (id, value) pairs with
+// one gatherv per array — nothing is sent back to the members — and writes
+// one binary subfile. `num_subfiles = 1` is the single-file baseline: it
+// funnels everything through rank 0, the original bottleneck the
 // optimization removes.
 //
 // Record format v2 (DESIGN.md §16). One self-describing blob per subfile:
@@ -72,19 +75,12 @@ struct SubfileConfig {
   std::string basename;  ///< files are <basename>.<k>.bin
   int num_subfiles = 1;
   CodecSpec codec{};
-  /// Synthetic slow-disk knob: extra seconds charged per MiB inside the
-  /// file write (bench-only; models a parallel filesystem under load).
-  double slow_disk_seconds_per_mb = 0.0;
-  /// Read side: when set, the record's stored codec must match (the
-  /// checkpoint reader pins it from the manifest).
-  std::optional<Codec> expected_codec{};
 };
 
 /// Floor-based subfile group map: rank -> floor(rank * num_subfiles / size).
+/// A group's lowest rank becomes rank 0 of its group communicator: the
+/// aggregator that writes and reads the group's subfile.
 int subfile_group(int rank, int comm_size, int num_subfiles);
-/// Lowest rank mapped to `group`, i.e. the rank that becomes rank 0 of the
-/// group communicator and writes the subfile.
-int subfile_aggregator(int group, int comm_size, int num_subfiles);
 
 /// Encode one subfile record (v2 layout above). `context` names the record
 /// in error messages. For kGroupScaled this verifies every value decodes
@@ -102,8 +98,9 @@ Codec decode_record(std::span<const char> bytes,
                     std::vector<std::int64_t>& ids,
                     std::vector<double>& values, const std::string& context);
 
-/// Write `bytes` to `path`, failing on open, short write, or close errors
-/// (a disk-full short write must not "succeed"). Returns bytes written.
+/// Write `bytes` to a fresh file at `path` (any old file there is removed
+/// first), failing on open, short write, or close errors (a disk-full short
+/// write must not "succeed"). Returns bytes written.
 std::size_t write_file_checked(const std::string& path,
                                std::span<const char> bytes,
                                double slow_disk_seconds_per_mb = 0.0);
@@ -119,38 +116,56 @@ struct GatheredSubfile {
   std::vector<double> values;
 };
 
-/// Collective over `comm`: gather each group's (ids, values) onto its
-/// aggregator. Aggregators get the gathered record; other ranks nullopt.
-std::optional<GatheredSubfile> gather_subfiles(const par::Comm& comm,
-                                               const SubfileConfig& config,
-                                               const FieldData& local);
+/// This rank's place in a `num_subfiles` layout over `comm`: its group and
+/// the group communicator. Construction is collective over `comm` and is the
+/// layout's only communicator split; a checkpoint writer or reader builds one
+/// and moves every section through it. Throws ap3::Error on every rank
+/// unless 1 <= num_subfiles <= comm.size().
+class SubfileGroup {
+ public:
+  SubfileGroup(const par::Comm& comm, int num_subfiles);
 
-/// Encode + write one gathered record. No communication — callable from a
-/// pp::Stream task. Returns bytes written.
+  /// Collective over the group: gathers the members' (ids, values) onto the
+  /// aggregator only, which gets the record for <basename>.<group>.bin;
+  /// other ranks get nullopt.
+  std::optional<GatheredSubfile> gather(const std::string& basename,
+                                        const FieldData& local) const;
+
+  /// Collective over `comm`: the aggregator reads its subfile and scatters
+  /// each member's original (ids, values) back; `expected_ids` are the ids
+  /// this rank wants, and `expected_codec`, when set, must match the
+  /// record's. Aggregator-side failures (missing file, checksum or codec
+  /// mismatch, truncation) are broadcast to the group and then folded over
+  /// `comm`, so every rank throws ap3::Error instead of deadlocking.
+  FieldData read(const std::string& basename,
+                 const std::vector<std::int64_t>& expected_ids,
+                 std::optional<Codec> expected_codec = std::nullopt) const;
+
+ private:
+  const par::Comm& comm_;
+  int group_;
+  par::Comm group_comm_;
+};
+
+/// Encode + write one gathered record and add its size to the
+/// "io:subfile:bytes_written" counter. No communication — callable from a
+/// pp::Stream task. `slow_disk_seconds_per_mb` is the synthetic slow-disk
+/// bench knob: extra seconds charged per MiB written. Returns bytes written.
 std::size_t write_gathered(const GatheredSubfile& gathered,
                            const CodecSpec& spec,
                            double slow_disk_seconds_per_mb = 0.0);
 
-/// Collective write: every rank contributes its (ids, values); group
-/// aggregators write `num_subfiles` files. Returns bytes written (on the
-/// aggregators; 0 elsewhere). Encode/write failures throw on the
-/// aggregator; the checkpoint layer defers them to its collective wait()
-/// so they surface symmetrically.
+/// One-shot collective write through a fresh SubfileGroup: every rank
+/// contributes its (ids, values); group aggregators write `num_subfiles`
+/// files. Returns bytes written (on the aggregators; 0 elsewhere).
+/// Encode/write failures throw on the aggregator; the checkpoint layer
+/// defers them to its collective wait() so they surface symmetrically.
 std::size_t write_subfiles(const par::Comm& comm, const SubfileConfig& config,
                            const FieldData& local);
 
-/// Collective read: aggregators read their subfile and re-scatter each
-/// rank's original (ids, values). `expected_ids` tells the reader which ids
-/// this rank wants back. Aggregator-side failures (missing file, checksum
-/// or codec mismatch, truncation) are broadcast to the group so every rank
-/// throws ap3::Error instead of deadlocking in a receive.
+/// One-shot collective read through a fresh SubfileGroup (see
+/// SubfileGroup::read).
 FieldData read_subfiles(const par::Comm& comm, const SubfileConfig& config,
                         const std::vector<std::int64_t>& expected_ids);
-
-/// Baseline: single file through rank 0.
-std::size_t write_single(const par::Comm& comm, const std::string& path,
-                         const FieldData& local);
-FieldData read_single(const par::Comm& comm, const std::string& path,
-                      const std::vector<std::int64_t>& expected_ids);
 
 }  // namespace ap3::io

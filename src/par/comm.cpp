@@ -217,14 +217,6 @@ Message Mailbox::take(int comm_id, int src, int tag) {
   }
 }
 
-bool Mailbox::try_take(int comm_id, int src, int tag, Message& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = find_locked(comm_id, src, tag);
-  if (it == queue_.end()) return false;
-  out = take_at_locked(it);
-  return true;
-}
-
 void Barrier::arrive_and_wait() {
   std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t my_generation = generation_;
@@ -273,6 +265,11 @@ fault::FaultStats World::fault_stats() const {
       fs.recovered_duplicate.load(std::memory_order_relaxed);
   out.recovered_delay = fs.recovered_delay.load(std::memory_order_relaxed);
   return out;
+}
+
+std::size_t World::open_split_records() const {
+  std::lock_guard<std::mutex> lock(split_table_.mutex);
+  return split_table_.entries.size();
 }
 
 TrafficStats World::traffic() const {
@@ -407,25 +404,37 @@ Comm Comm::split(int color, int key) const {
   detail::SplitTable& table = world_->split_table();
   const std::uint64_t epoch = split_epoch_++;
   const auto table_key = std::make_pair(comm_id_, epoch);
+  obs::counter_add("par:splits", 1.0);
+  std::map<int, std::pair<int, int>> entries;
   {
     std::unique_lock<std::mutex> lock(table.mutex);
-    table.entries[table_key][rank_] = {color, key};
-    if (static_cast<int>(table.entries[table_key].size()) == size()) {
+    // A copy of a Comm shares its id but counts epochs on its own, so a split
+    // on the copy and one on the original can share a key. If this rank is
+    // already in the key's record, that record belongs to the earlier split:
+    // wait until it is erased instead of joining it.
+    table.cv.wait(lock, [&] {
+      const auto it = table.entries.find(table_key);
+      return it == table.entries.end() || !it->second.members.count(rank_);
+    });
+    detail::SplitTable::Record& record = table.entries[table_key];
+    record.members[rank_] = {color, key};
+    const auto complete = [&] {
+      return static_cast<int>(record.members.size()) == size();
+    };
+    if (complete())
       table.cv.notify_all();
-    } else {
-      table.cv.wait(lock, [&] {
-        return static_cast<int>(table.entries[table_key].size()) == size();
-      });
+    else
+      table.cv.wait(lock, complete);
+    entries = record.members;
+    // Last one out erases the record, so the table only holds splits in
+    // flight instead of growing by one record per split for the whole run.
+    if (++record.copied == size()) {
+      table.entries.erase(table_key);
+      table.cv.notify_all();
     }
   }
 
   // Every rank now computes the identical split deterministically.
-  std::map<int, std::pair<int, int>> entries;
-  {
-    std::lock_guard<std::mutex> lock(table.mutex);
-    entries = table.entries[table_key];
-  }
-
   // Order the ranks of my color by (key, old rank).
   std::vector<std::pair<std::pair<int, int>, int>> mine;  // ((key, old), old)
   for (const auto& [old_rank, ck] : entries) {

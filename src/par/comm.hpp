@@ -11,9 +11,9 @@
 //  - typed, tagged, eager point-to-point send/recv (FIFO per source),
 //  - non-blocking isend/irecv with Request/wait/wait_all,
 //  - wildcard source/tag receives,
-//  - collectives: barrier, bcast, reduce, allreduce, gather, allgather,
-//    alltoall, alltoallv (built over p2p; deterministic), each taking an
-//    optional CollectivePolicy selecting the algorithm,
+//  - collectives: barrier, bcast, reduce, allreduce, gather(v), scatterv,
+//    allgather(v), alltoall, alltoallv (built over p2p; deterministic), each
+//    taking an optional CollectivePolicy selecting the algorithm,
 //  - topology-aware hierarchical collectives: a Comm can carry a
 //    par::Topology (rank -> supernode map, see topology.hpp); allreduce and
 //    alltoallv then stage traffic through supernode leaders so each
@@ -141,7 +141,6 @@ class Mailbox {
   /// mode, waits for the *next in-sequence* message of the matching stream
   /// and runs timeout/backoff recovery (flush delayed, retransmit dropped).
   Message take(int comm_id, int src, int tag);
-  bool try_take(int comm_id, int src, int tag, Message& out);
   /// Switch this mailbox to sequenced (fault-tolerant) matching.
   void enable_fault_mode(FaultState* state, int world_rank);
 
@@ -190,11 +189,15 @@ class Barrier {
 };
 
 struct SplitTable {
-  std::mutex mutex;
+  /// One split in flight: every member's (color, key), and how many members
+  /// have copied them. The last member to copy erases the record.
+  struct Record {
+    std::map<int, std::pair<int, int>> members;
+    int copied = 0;
+  };
+  mutable std::mutex mutex;
   std::condition_variable cv;
-  // comm-id -> epoch -> (rank -> (color,key))
-  std::map<std::pair<int, std::uint64_t>, std::map<int, std::pair<int, int>>>
-      entries;
+  std::map<std::pair<int, std::uint64_t>, Record> entries;  ///< (id, epoch)
 };
 
 /// Traffic-attribution scope for one collective call. While alive on this
@@ -258,6 +261,8 @@ class World {
   const fault::InjectionLog* fault_log() const;
   /// Injection/recovery totals so far (all zeros when inactive).
   fault::FaultStats fault_stats() const;
+  /// Splits some member has entered but not every member has returned from.
+  std::size_t open_split_records() const;
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -388,6 +393,23 @@ class Comm {
   std::vector<T> allgather(std::span<const T> local,
                            CollectivePolicy policy = {}) const;
 
+  /// Variable-size gather onto `root`: the root gets the concatenation in
+  /// rank order (and, when asked, the per-rank counts); other ranks get an
+  /// empty vector and leave `counts` untouched.
+  template <typename T>
+  std::vector<T> gatherv(std::span<const T> local, int root,
+                         std::vector<std::size_t>* counts = nullptr,
+                         CollectivePolicy policy = {}) const;
+
+  /// Inverse of gatherv: the root holds every rank's block concatenated in
+  /// rank order, `counts[r]` elements for rank r, and each rank gets its own
+  /// block. Non-roots pass empty `data` and `counts`; a block's size travels
+  /// with its message.
+  template <typename T>
+  std::vector<T> scatterv(std::span<const T> data,
+                          std::span<const std::size_t> counts, int root,
+                          CollectivePolicy policy = {}) const;
+
   /// Variable-size allgather; returns concatenation in rank order plus
   /// per-rank counts.
   template <typename T>
@@ -432,7 +454,8 @@ class Comm {
   /// (key, rank). This is how AP3ESM partitions ranks into task domains —
   /// and, with Topology, the only way to build subgroups. An attached
   /// topology is projected onto each subgroup (Topology::induced), so task
-  /// domains inherit the machine shape.
+  /// domains inherit the machine shape. Each call bumps the "par:splits"
+  /// obs counter.
   Comm split(int color, int key) const;
 
  private:
@@ -516,8 +539,9 @@ void run(int nranks, const WorldOptions& options,
 // ---- template implementations ---------------------------------------------
 //
 // Reserved internal tag space (tags < -999):
-//   -1000 bcast         -1001 gather        -1002 allgatherv
+//   -1000 bcast         -1001 gather        -1002 gatherv payload
 //   -1003 reduce        -1004 alltoall      -1005 alltoallv
+//   -1006 scatterv
 //   -1010 hier reduce up (member -> leader)
 //   -1011 hier reduce mid (leader -> root)
 //   -1012 hier bcast (root -> leaders)      -1013 hier bcast (leader -> members)
@@ -613,34 +637,81 @@ std::vector<T> Comm::allgather(std::span<const T> local,
 }
 
 template <typename T>
-std::vector<T> Comm::allgatherv(std::span<const T> local,
-                                std::vector<std::size_t>* counts,
-                                CollectivePolicy policy) const {
-  detail::CollScope scope("allgatherv", hierarchical(policy) ? "hier" : "flat");
+std::vector<T> Comm::gatherv(std::span<const T> local, int root,
+                             std::vector<std::size_t>* counts,
+                             CollectivePolicy policy) const {
+  detail::CollScope scope("gatherv", hierarchical(policy) ? "hier" : "flat");
   const std::uint64_t mine = local.size();
-  std::vector<std::uint64_t> sizes =
-      allgather(std::span<const std::uint64_t>(&mine, 1), policy);
+  const std::vector<std::uint64_t> sizes =
+      gather(std::span<const std::uint64_t>(&mine, 1), root, policy);
   constexpr int kTag = -1002;
+  if (rank_ != root) {
+    if (!local.empty()) send(local, root, kTag);
+    return {};
+  }
   std::size_t total = 0;
   for (std::uint64_t s : sizes) total += s;
   std::vector<T> out(total);
-  if (rank_ == 0) {
-    std::size_t offset = 0;
-    for (int r = 0; r < size(); ++r) {
-      std::span<T> slot(out.data() + offset, sizes[static_cast<size_t>(r)]);
-      if (r == 0) {
-        std::copy(local.begin(), local.end(), slot.begin());
-      } else if (!slot.empty()) {
-        const std::size_t n = recv(slot, r, kTag);
-        AP3_REQUIRE(n == slot.size());
-      }
-      offset += sizes[static_cast<size_t>(r)];
+  std::size_t offset = 0;
+  for (int r = 0; r < size(); ++r) {
+    std::span<T> slot(out.data() + offset, sizes[static_cast<size_t>(r)]);
+    if (r == root) {
+      std::copy(local.begin(), local.end(), slot.begin());
+    } else if (!slot.empty()) {
+      const std::size_t n = recv(slot, r, kTag);
+      AP3_REQUIRE(n == slot.size());
     }
-  } else if (!local.empty()) {
-    send(local, 0, kTag);
+    offset += slot.size();
   }
-  bcast(std::span<T>(out), 0, policy);
   if (counts) counts->assign(sizes.begin(), sizes.end());
+  return out;
+}
+
+template <typename T>
+std::vector<T> Comm::scatterv(std::span<const T> data,
+                              std::span<const std::size_t> counts, int root,
+                              CollectivePolicy policy) const {
+  // Root-star wire regardless of policy, like gather.
+  detail::CollScope scope("scatterv", hierarchical(policy) ? "hier" : "flat");
+  constexpr int kTag = -1006;
+  if (rank_ != root) {
+    const detail::Message m = take(root, kTag);
+    check_type<T>(m);
+    std::vector<T> out(m.data.size() / sizeof(T));
+    if (!out.empty()) std::memcpy(out.data(), m.data.data(), m.data.size());
+    return out;
+  }
+  AP3_REQUIRE(counts.size() == static_cast<std::size_t>(size()));
+  std::vector<T> mine;
+  std::size_t offset = 0;
+  for (int r = 0; r < size(); ++r) {
+    const std::span<const T> block =
+        data.subspan(offset, counts[static_cast<std::size_t>(r)]);
+    if (r == root)
+      mine.assign(block.begin(), block.end());
+    else
+      send(block, r, kTag);
+    offset += block.size();
+  }
+  return mine;
+}
+
+template <typename T>
+std::vector<T> Comm::allgatherv(std::span<const T> local,
+                                std::vector<std::size_t>* counts,
+                                CollectivePolicy policy) const {
+  // gatherv onto rank 0, then broadcast the counts and the concatenation:
+  // per (source, destination, tag) stream, the same messages in the same
+  // order as gathering and broadcasting the counts first.
+  detail::CollScope scope("allgatherv", hierarchical(policy) ? "hier" : "flat");
+  std::vector<std::size_t> sizes(static_cast<std::size_t>(size()));
+  std::vector<T> out = gatherv(local, 0, &sizes, policy);
+  bcast(std::span<std::size_t>(sizes), 0, policy);
+  std::size_t total = 0;
+  for (std::size_t s : sizes) total += s;
+  out.resize(total);
+  bcast(std::span<T>(out), 0, policy);
+  if (counts) *counts = std::move(sizes);
   return out;
 }
 

@@ -1,8 +1,10 @@
 // Tests for the parallel I/O subsystem (§5.2.5): subfile v2 record round
-// trips, whole-record checksum verification, the group-scaled checkpoint
-// codec, the async double-buffered checkpoint writer, the atomic manifest
-// commit protocol, and a fault-injection suite asserting that every
-// corruption mode throws symmetrically on all ranks (no deadlock).
+// trips (num_subfiles = 1 is the single-file baseline), whole-record
+// checksum verification, the group-scaled checkpoint codec, the async
+// double-buffered checkpoint writer, the atomic manifest commit protocol, a
+// fault-injection suite asserting that every corruption mode throws
+// symmetrically on all ranks (no deadlock), and the writer's wire traffic
+// and communicator splits (one per writer and per reader).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include "harness.hpp"
 #include "io/checkpoint.hpp"
 #include "io/subfile.hpp"
+#include "obs/obs.hpp"
 #include "par/comm.hpp"
 #include "precision/group_scaled.hpp"
 
@@ -67,10 +70,8 @@ TEST(Io, ChecksumDetectsChange) {
 }
 
 // The floor group map must partition ranks into contiguous non-empty groups
-// and the closed-form aggregator must name each group's lowest rank — for
-// every split, including uneven ones (the v1 ceiling formula was dead code;
-// this pins the live one).
-TEST(Io, GroupMapPartitionsAndAggregatorAgrees) {
+// for every split, including uneven ones.
+TEST(Io, GroupMapPartitionsIntoContiguousGroups) {
   const int cases[][2] = {{5, 2}, {6, 4}, {7, 3}, {7, 7}, {8, 5},
                           {9, 4}, {3, 1}, {12, 5}, {13, 13}};
   for (const auto& c : cases) {
@@ -86,27 +87,28 @@ TEST(Io, GroupMapPartitionsAndAggregatorAgrees) {
       if (first_rank[static_cast<std::size_t>(g)] < 0)
         first_rank[static_cast<std::size_t>(g)] = r;
     }
-    for (int g = 0; g < nsub; ++g) {
+    for (int g = 0; g < nsub; ++g)
       ASSERT_GE(first_rank[static_cast<std::size_t>(g)], 0)
           << "empty group " << g << " for size=" << size << " nsub=" << nsub;
-      EXPECT_EQ(io::subfile_aggregator(g, size, nsub),
-                first_rank[static_cast<std::size_t>(g)])
-          << "size=" << size << " nsub=" << nsub;
-    }
   }
 }
 
-// The aggregator formula must also agree with what the communicator split
-// actually elects as group rank 0 (that is who writes the file).
-TEST(Io, AggregatorIsGroupCommRankZero) {
+// The aggregator — the one rank of a group that gets the gathered record and
+// writes the subfile — must be the group's lowest rank, for every split
+// including uneven ones.
+TEST(Io, AggregatorIsLowestRankOfGroup) {
   par::run(7, [&](par::Comm& comm) {
     for (int nsub = 1; nsub <= comm.size(); ++nsub) {
       const int group = io::subfile_group(comm.rank(), comm.size(), nsub);
-      par::Comm group_comm = comm.split(group, comm.rank());
-      const bool is_root = group_comm.rank() == 0;
-      const bool is_agg =
-          comm.rank() == io::subfile_aggregator(group, comm.size(), nsub);
-      EXPECT_EQ(is_root, is_agg) << "rank " << comm.rank() << " nsub " << nsub;
+      int lowest = 0;
+      while (io::subfile_group(lowest, comm.size(), nsub) != group) ++lowest;
+      const io::SubfileGroup layout(comm, nsub);
+      const auto record = layout.gather("agg", make_local(comm.rank(), 3));
+      EXPECT_EQ(record.has_value(), comm.rank() == lowest)
+          << "rank " << comm.rank() << " nsub " << nsub;
+      if (record) {
+        EXPECT_EQ(record->path, "agg." + std::to_string(group) + ".bin");
+      }
       comm.barrier();
     }
   });
@@ -158,12 +160,12 @@ TEST(Io, OneSubfilePerRankDegenerateCase) {
 
 TEST(Io, SingleFileBaselineRoundTrip) {
   TempDir tmp;
-  const std::string path = tmp.file("single.bin");
+  const SubfileConfig single{tmp.file("single"), 1};
   par::run(4, [&](par::Comm& comm) {
     const FieldData mine = make_local(comm.rank(), 4);
-    io::write_single(comm, path, mine);
+    io::write_subfiles(comm, single, mine);
     comm.barrier();
-    const FieldData back = io::read_single(comm, path, mine.ids);
+    const FieldData back = io::read_subfiles(comm, single, mine.ids);
     EXPECT_EQ(back.ids, mine.ids);
     EXPECT_EQ(back.values, mine.values);
     comm.barrier();
@@ -181,14 +183,14 @@ TEST(Io, CorruptionAnywhereInRecordFailsChecksum) {
   const std::streamoff kPayloadAt = 32 + 8 + 16 + 3 * 8;
   for (const std::streamoff offset : {kCountsAt, kRunsAt, kPayloadAt}) {
     TempDir tmp;
-    const std::string path = tmp.file("corrupt.bin");
+    const SubfileConfig single{tmp.file("corrupt"), 1};
     par::run(1, [&](par::Comm& comm) {
-      io::write_single(comm, path, make_local(0, 10));
+      io::write_subfiles(comm, single, make_local(0, 10));
     });
-    flip_byte(path, offset);
+    flip_byte(single.basename + ".0.bin", offset);
     par::run(1, [&](par::Comm& comm) {
       const FieldData mine = make_local(0, 10);
-      EXPECT_THROW(io::read_single(comm, path, mine.ids), ap3::Error)
+      EXPECT_THROW(io::read_subfiles(comm, single, mine.ids), ap3::Error)
           << "corruption at offset " << offset << " not caught";
     });
   }
@@ -218,9 +220,9 @@ TEST(Io, TruncatedSubfileThrowsOnAllRanks) {
 // fast with a format message, not a confusing checksum mismatch.
 TEST(Io, PreV2RecordFailsFastWithFormatError) {
   TempDir tmp;
-  const std::string path = tmp.file("old.bin");
+  const SubfileConfig single{tmp.file("old"), 1};
   {
-    std::ofstream out(path, std::ios::binary);
+    std::ofstream out(single.basename + ".0.bin", std::ios::binary);
     const std::int64_t nranks = 1;
     out.write(reinterpret_cast<const char*>(&nranks), sizeof(nranks));
     const std::vector<double> junk(16, 1.25);
@@ -229,7 +231,7 @@ TEST(Io, PreV2RecordFailsFastWithFormatError) {
   }
   par::run(1, [&](par::Comm& comm) {
     try {
-      io::read_single(comm, path, {0});
+      io::read_subfiles(comm, single, {0});
       FAIL() << "pre-v2 record accepted";
     } catch (const ap3::Error& e) {
       EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
@@ -240,14 +242,14 @@ TEST(Io, PreV2RecordFailsFastWithFormatError) {
 
 TEST(Io, MismatchedDecompositionThrows) {
   TempDir tmp;
-  const std::string path = tmp.file("mismatch.bin");
+  const SubfileConfig single{tmp.file("mismatch"), 1};
   par::run(2, [&](par::Comm& comm) {
     const FieldData mine = make_local(comm.rank(), 3);
-    io::write_single(comm, path, mine);
+    io::write_subfiles(comm, single, mine);
     comm.barrier();
     // Ask for different ids than were written.
     std::vector<std::int64_t> wrong = {999, 998, 997};
-    EXPECT_THROW(io::read_single(comm, path, wrong), ap3::Error);
+    EXPECT_THROW(io::read_subfiles(comm, single, wrong), ap3::Error);
     comm.barrier();
   });
 }
@@ -339,18 +341,17 @@ TEST(Io, GroupScaledHalvesRecordBytes) {
 
 // ---- checkpoint writer: async mode, atomic commit, fault injection ---------
 
-io::CheckpointOptions two_subfile_options(bool async) {
+io::CheckpointOptions two_subfile_options() {
   io::CheckpointOptions options;
   options.num_subfiles = 2;
-  options.async = async;
   return options;
 }
 
 void write_snapshot(par::Comm& comm, const std::string& dir, bool async,
                     io::CodecSpec codec = {}) {
-  io::CheckpointOptions options = two_subfile_options(async);
+  io::CheckpointOptions options = two_subfile_options();
   options.codec = codec;
-  io::CheckpointWriter writer(comm, dir, options);
+  io::CheckpointWriter writer(comm, dir, options, async);
   writer.add_section("alpha", io::local_field(
                                   make_irrational_local(comm.rank(), 40)
                                       .values));
@@ -393,7 +394,7 @@ TEST(IoCheckpoint, AsyncWriterSnapshotsDataAtAddTime) {
     FieldData mine = make_local(comm.rank(), 50);
     const FieldData original = mine;
     {
-      io::CheckpointWriter writer(comm, dir, two_subfile_options(true));
+      io::CheckpointWriter writer(comm, dir, two_subfile_options(), true);
       writer.add_section("alpha", mine);
       for (double& v : mine.values) v = -1e9;  // mutate after the gather
       writer.finalize();
@@ -413,8 +414,7 @@ TEST(IoCheckpoint, AsyncWriteFailureThrowsOnAllRanksAtWait) {
   TempDir tmp;
   const std::string dir = tmp.file("fail");
   par::run(4, [&](par::Comm& comm) {
-    io::CheckpointOptions options = two_subfile_options(true);
-    io::CheckpointWriter writer(comm, dir, options);
+    io::CheckpointWriter writer(comm, dir, two_subfile_options(), true);
     io::CodecSpec impossible;
     impossible.codec = io::Codec::kGroupScaled;
     impossible.ulp_bound = 0;
@@ -436,7 +436,7 @@ TEST(IoCheckpoint, SyncWriteFailureThrowsOnAllRanksAtFinalize) {
     io::CodecSpec impossible;
     impossible.codec = io::Codec::kGroupScaled;
     impossible.ulp_bound = 0;
-    io::CheckpointWriter writer(comm, dir, two_subfile_options(false));
+    io::CheckpointWriter writer(comm, dir, two_subfile_options());
     writer.add_section("alpha",
                        io::local_field(
                            make_irrational_local(comm.rank(), 30).values),
@@ -451,7 +451,7 @@ TEST(IoCheckpoint, PerSectionCodecRecordedInManifest) {
   TempDir tmp;
   const std::string dir = tmp.file("mixed");
   par::run(2, [&](par::Comm& comm) {
-    io::CheckpointWriter writer(comm, dir, two_subfile_options(false));
+    io::CheckpointWriter writer(comm, dir, two_subfile_options());
     io::CodecSpec gs;
     gs.codec = io::Codec::kGroupScaled;
     const FieldData mine = make_irrational_local(comm.rank(), 20);
@@ -475,8 +475,7 @@ TEST(IoCheckpoint, SubfileCodecMustMatchManifest) {
   TempDir tmp;
   const std::string dir = tmp.file("swap");
   par::run(1, [&](par::Comm& comm) {
-    io::CheckpointOptions options;
-    io::CheckpointWriter writer(comm, dir, options);
+    io::CheckpointWriter writer(comm, dir);
     io::CodecSpec gs;
     gs.codec = io::Codec::kGroupScaled;
     const FieldData mine = make_irrational_local(0, 24);
@@ -573,7 +572,7 @@ TEST(IoCommit, RewriteInvalidatesOldManifestBeforeSections) {
     {
       // Simulated crash: a second writer rewrites one section, then dies
       // before finalize.
-      io::CheckpointWriter writer(comm, dir, two_subfile_options(false));
+      io::CheckpointWriter writer(comm, dir, two_subfile_options());
       EXPECT_FALSE(std::filesystem::exists(dir + "/MANIFEST.bin"))
           << "old manifest still claims completeness during rewrite";
       writer.add_section("alpha",
@@ -619,7 +618,7 @@ TEST(IoCheckpoint, BytesWrittenMatchesDisk) {
     TempDir tmp;
     const std::string dir = tmp.file("snap");
     par::run(4, [&](par::Comm& comm) {
-      io::CheckpointWriter writer(comm, dir, two_subfile_options(async));
+      io::CheckpointWriter writer(comm, dir, two_subfile_options(), async);
       writer.add_section("alpha",
                          io::local_field(
                              make_irrational_local(comm.rank(), 40).values));
@@ -637,6 +636,79 @@ TEST(IoCheckpoint, BytesWrittenMatchesDisk) {
       comm.barrier();
     });
   }
+}
+
+// ---- wire traffic and communicator splits ----------------------------------
+
+// Each section is gathered onto its group's aggregator and sent nowhere else.
+// Summed over ranks, a writer's wire traffic is the ids and values owned by
+// the non-aggregator ranks plus a fixed allowance per section for the size
+// words of its two gathers and the commit fence's allreduce. A gather that
+// broadcast each section back to the group would send about 4x as much.
+TEST(IoCheckpoint, WriterSendsOnlyNonAggregatorBytes) {
+  constexpr int kSections = 6;
+  constexpr double kAllowancePerSection = 64.0;  // bytes
+  obs::set_enabled(true);
+  for (const int nsub : {1, 2}) {
+    TempDir tmp;
+    const std::string dir = tmp.file("traffic");
+    par::run(4, [&](par::Comm& comm) {
+      const int group = io::subfile_group(comm.rank(), comm.size(), nsub);
+      const bool aggregator =
+          comm.rank() == 0 ||
+          io::subfile_group(comm.rank() - 1, comm.size(), nsub) != group;
+      io::CheckpointOptions options;
+      options.num_subfiles = nsub;
+      double owned = 0.0;
+      const double before = obs::local().counter("par:bytes:total");
+      {
+        io::CheckpointWriter writer(comm, dir, options);
+        for (int s = 0; s < kSections; ++s) {
+          const FieldData mine =
+              make_local(comm.rank(), 40 + 10 * s + comm.rank());
+          if (!aggregator)  // int64 ids and fp64 values
+            owned += 8.0 * static_cast<double>(mine.ids.size() +
+                                               mine.values.size());
+          writer.add_section("s" + std::to_string(s), mine);
+        }
+        writer.finalize();
+      }
+      const double sent = obs::local().counter("par:bytes:total") - before;
+      const double total_sent = comm.allreduce_value(sent, par::ReduceOp::kSum);
+      const double total_owned =
+          comm.allreduce_value(owned, par::ReduceOp::kSum);
+      EXPECT_GE(total_sent, total_owned) << "nsub " << nsub;
+      EXPECT_LE(total_sent, total_owned + kAllowancePerSection * kSections)
+          << "nsub " << nsub;
+    });
+  }
+}
+
+// A writer and a reader each split their subfile group once, however many
+// sections they move.
+TEST(IoCheckpoint, OneSplitPerWriterAndPerReader) {
+  obs::set_enabled(true);
+  TempDir tmp;
+  const std::string dir = tmp.file("splits");
+  par::run(4, [&](par::Comm& comm) {
+    const auto splits = [] { return obs::local().counter("par:splits"); };
+    double before = splits();
+    {
+      io::CheckpointWriter writer(comm, dir, two_subfile_options());
+      for (int s = 0; s < 5; ++s)
+        writer.add_section("s" + std::to_string(s), make_local(comm.rank(), 9));
+      writer.finalize();
+    }
+    EXPECT_EQ(splits() - before, 1.0);
+    before = splits();
+    io::CheckpointReader reader(comm, dir);
+    for (int s = 0; s < 5; ++s) {
+      const FieldData back = reader.read_section(
+          "s" + std::to_string(s), make_local(comm.rank(), 9).ids);
+      EXPECT_EQ(back.values, make_local(comm.rank(), 9).values);
+    }
+    EXPECT_EQ(splits() - before, 1.0);
+  });
 }
 
 }  // namespace

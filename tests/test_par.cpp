@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "obs/obs.hpp"
 #include "par/comm.hpp"
 
 namespace {
@@ -151,6 +152,56 @@ TEST(Par, AllgathervVariableSizes) {
   });
 }
 
+// gatherv delivers to the root only: a non-zero root gets the rank-order
+// concatenation and the counts, every other rank gets nothing back, and the
+// wire carries each non-root's block plus one size word, not a broadcast.
+TEST(Par, GathervDeliversToRootOnly) {
+  obs::set_enabled(true);
+  run_ranks(4, [](Comm& comm) {
+    constexpr int kRoot = 2;
+    std::vector<double> mine(static_cast<size_t>(comm.rank()) + 1,
+                             comm.rank() + 0.25);
+    std::vector<size_t> counts = {99};
+    const auto before = obs::local().counter("par:bytes:total");
+    const auto got =
+        comm.gatherv(std::span<const double>(mine), kRoot, &counts);
+    const auto sent = obs::local().counter("par:bytes:total") - before;
+    if (comm.rank() == kRoot) {
+      EXPECT_EQ(counts, (std::vector<size_t>{1, 2, 3, 4}));
+      ASSERT_EQ(got.size(), 10u);
+      EXPECT_EQ(got[0], 0.25);
+      EXPECT_EQ(got[2], 1.25);
+      EXPECT_EQ(got[9], 3.25);
+      EXPECT_EQ(sent, 0.0);
+    } else {
+      EXPECT_TRUE(got.empty());
+      EXPECT_EQ(counts, (std::vector<size_t>{99}));
+      EXPECT_EQ(sent, static_cast<double>(sizeof(std::uint64_t) +
+                                          mine.size() * sizeof(double)));
+    }
+  });
+}
+
+// scatterv hands each rank its own block; the block's size travels with the
+// message, so non-roots need not know it in advance.
+TEST(Par, ScattervHandsEachRankItsBlock) {
+  run_ranks(3, [](Comm& comm) {
+    constexpr int kRoot = 1;
+    const std::vector<int> data = {7, 1, 2, 3, 4, 5};
+    const std::vector<size_t> counts = {1, 0, 5};
+    const bool root = comm.rank() == kRoot;
+    const auto mine = comm.scatterv(
+        std::span<const int>(root ? data.data() : nullptr, root ? 6 : 0),
+        std::span<const size_t>(root ? counts.data() : nullptr, root ? 3 : 0),
+        kRoot);
+    const std::vector<int> want =
+        comm.rank() == 0 ? std::vector<int>{7}
+        : comm.rank() == 1 ? std::vector<int>{}
+                           : std::vector<int>{1, 2, 3, 4, 5};
+    EXPECT_EQ(mine, want) << "rank " << comm.rank();
+  });
+}
+
 TEST(Par, AllreduceSumMinMax) {
   run_ranks(4, [](Comm& comm) {
     const double v = comm.rank() + 1.0;  // 1..4
@@ -217,6 +268,39 @@ TEST(Par, SplitKeyReordersRanks) {
     // Reverse order by key.
     Comm flipped = comm.split(0, -comm.rank());
     EXPECT_EQ(flipped.rank(), comm.size() - 1 - comm.rank());
+  });
+}
+
+// Every split record is released once its last member has copied it, so a
+// long run's split table stays empty between splits; the 1000th split still
+// forms the same groups as the first.
+TEST(Par, SplitRecordsAreReleased) {
+  run_ranks(4, [](Comm& comm) {
+    for (int i = 0; i < 1000; ++i) {
+      const Comm sub = comm.split(comm.rank() % 2, comm.rank());
+      EXPECT_EQ(sub.size(), 2);
+      EXPECT_EQ(sub.rank(), comm.rank() / 2);
+    }
+    comm.barrier();  // every member has returned from its last split
+    EXPECT_EQ(comm.world().open_split_records(), 0u);
+  });
+}
+
+// A copy of a Comm shares its id and split epoch, so splitting the copy and
+// then the original uses one split-table key twice. The second split must
+// form its own groups from its own colors, not read the first one's record.
+TEST(Par, SplitsOfACopyAndItsOriginalDoNotMix) {
+  run_ranks(8, [](Comm& comm) {
+    for (int i = 0; i < 200; ++i) {
+      const Comm copy = comm;
+      const Comm halves = copy.split(comm.rank() % 2, comm.rank());
+      const Comm whole = comm.split(0, comm.rank());
+      EXPECT_EQ(halves.size(), 4);
+      EXPECT_EQ(whole.size(), 8);
+      EXPECT_EQ(whole.rank(), comm.rank());
+    }
+    comm.barrier();
+    EXPECT_EQ(comm.world().open_split_records(), 0u);
   });
 }
 
